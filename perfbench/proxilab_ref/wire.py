@@ -1,0 +1,241 @@
+"""Newline-delimited JSON protocol over TCP.
+
+One request line in, one response line out. Messages are encoded with
+sorted keys and compact separators so identical logical responses are
+byte-identical on the wire. Client timestamps carry the virtual clock; the
+server never consults its own.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import socket
+import socketserver
+import threading
+
+from .geo import GeoPoint, ProjectionDomainError
+from .service import (
+    AreaRestrictedError,
+    FloodWaitError,
+    ProtocolError,
+    QueryRejected,
+    Service,
+    SpeedBanError,
+)
+
+PROTOCOL_VERSION = 1
+DEFAULT_BIND = ("127.0.0.1", 7878)
+REQUEST_FIELDS = {"v", "type", "account", "lat", "lon", "ts"}
+ERROR_CODES = ("FLOOD_WAIT", "SPEED_BAN", "BAD_REQUEST", "AREA_RESTRICTED")
+
+_CODE_TO_ERROR = {
+    "FLOOD_WAIT": FloodWaitError,
+    "SPEED_BAN": SpeedBanError,
+    "AREA_RESTRICTED": AreaRestrictedError,
+}
+
+
+class DecodeError(ValueError):
+    """Line could not be decoded into a valid protocol message."""
+
+
+def encode(msg: dict) -> bytes:
+    """One message per line, deterministic byte layout."""
+    return (json.dumps(msg, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+
+
+def decode(line: bytes | str) -> dict:
+    """Parse one line into a message dict; raises DecodeError on junk."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError("not valid UTF-8") from exc
+    try:
+        msg = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(msg, dict):
+        raise DecodeError("message must be a JSON object")
+    return msg
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def decode_request(line: bytes | str) -> dict:
+    """Decode and validate a search request line."""
+    msg = decode(line)
+    if set(msg) != REQUEST_FIELDS:
+        raise DecodeError(f"request fields must be exactly {sorted(REQUEST_FIELDS)}")
+    if msg["v"] != PROTOCOL_VERSION:
+        raise DecodeError(f"unsupported protocol version {msg['v']!r}")
+    if msg["type"] != "search":
+        raise DecodeError(f"unsupported request type {msg['type']!r}")
+    if not isinstance(msg["account"], str) or not msg["account"]:
+        raise DecodeError("account must be a non-empty string")
+    if not _is_number(msg["lat"]) or not -90.0 <= msg["lat"] <= 90.0:
+        raise DecodeError("lat must be a number in [-90, 90]")
+    if not _is_number(msg["lon"]):
+        raise DecodeError("lon must be a number")
+    if not _is_number(msg["ts"]):
+        raise DecodeError("ts must be a number")
+    return msg
+
+
+def make_search(account: str, pos: GeoPoint, ts: float) -> dict:
+    return {
+        "v": PROTOCOL_VERSION,
+        "type": "search",
+        "account": account,
+        "lat": pos.lat,
+        "lon": pos.lon,
+        "ts": ts,
+    }
+
+
+def result_response(entries: list[tuple[str, int]]) -> dict:
+    return {
+        "v": PROTOCOL_VERSION,
+        "type": "result",
+        "entries": [{"id": tid, "class_m": cls} for tid, cls in entries],
+    }
+
+
+def error_response(code: str, retry_after_s: float = 0.0) -> dict:
+    if code not in ERROR_CODES:
+        raise ValueError(f"unknown error code {code!r}")
+    return {
+        "v": PROTOCOL_VERSION,
+        "type": "error",
+        "code": code,
+        "retry_after_s": retry_after_s,
+    }
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    def handle(self) -> None:
+        service: Service = self.server.nearby_service  # type: ignore[attr-defined]
+        for raw in self.rfile:
+            try:
+                resp = self._respond(service, raw)
+            except Exception:
+                # A handler must never kill the connection loop on a bug.
+                resp = error_response("BAD_REQUEST")
+            try:
+                self.wfile.write(encode(resp))
+            except (BrokenPipeError, ConnectionResetError):
+                return
+
+    @staticmethod
+    def _respond(service: Service, raw: bytes) -> dict:
+        try:
+            msg = decode_request(raw)
+        except DecodeError:
+            return error_response("BAD_REQUEST")
+        try:
+            pos = GeoPoint(msg["lat"], msg["lon"])
+            entries = service.search(msg["account"], pos, msg["ts"])
+        except QueryRejected as exc:
+            return error_response(exc.code, exc.retry_after_s)
+        except (ProtocolError, ProjectionDomainError, ValueError):
+            return error_response("BAD_REQUEST")
+        return result_response(entries)
+
+
+class _ThreadingServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
+class ApiServer:
+    """TCP endpoint for a Service. Use port 0 for an ephemeral test port."""
+
+    def __init__(self, service: Service, host: str = DEFAULT_BIND[0], port: int = DEFAULT_BIND[1]):
+        self._tcp = _ThreadingServer((host, port), _Handler)
+        self._tcp.nearby_service = service  # type: ignore[attr-defined]
+        self._thread: threading.Thread | None = None
+        self._serving = False
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._tcp.server_address  # type: ignore[return-value]
+
+    def start(self) -> None:
+        self._serving = True
+        self._thread = threading.Thread(
+            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        self._thread.start()
+
+    def serve_forever(self) -> None:
+        self._serving = True
+        self._tcp.serve_forever()
+
+    def stop(self) -> None:
+        if self._serving:
+            self._tcp.shutdown()  # blocks until the serve loop acknowledges
+            self._serving = False
+        self._tcp.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+
+    def __enter__(self) -> "ApiServer":
+        self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
+class TcpClient:
+    """Blocking request/response client bound to one account."""
+
+    def __init__(self, host: str, port: int, account: str, timeout: float = 30.0):
+        self.account = account
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._rfile = self._sock.makefile("rb")
+
+    def request(self, msg: dict) -> dict:
+        """Send one raw message and return the raw response (for tests)."""
+        self._sock.sendall(encode(msg))
+        line = self._rfile.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return decode(line)
+
+    def request_line(self, raw: bytes) -> dict:
+        """Send pre-encoded bytes (possibly junk) and return the response."""
+        self._sock.sendall(raw)
+        line = self._rfile.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return decode(line)
+
+    def search(self, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:
+        resp = self.request(make_search(self.account, pos, ts))
+        if resp.get("type") == "result":
+            return [(e["id"], e["class_m"]) for e in resp["entries"]]
+        if resp.get("type") == "error":
+            code = resp.get("code")
+            retry = resp.get("retry_after_s", 0.0)
+            exc_cls = _CODE_TO_ERROR.get(code)
+            if exc_cls is not None:
+                raise exc_cls(f"server rejected query: {code}", retry_after_s=retry)
+            raise ProtocolError(f"server rejected query: {code}")
+        raise ProtocolError(f"unexpected response type {resp.get('type')!r}")
+
+    def close(self) -> None:
+        try:
+            self._rfile.close()
+        finally:
+            self._sock.close()
+
+    def __enter__(self) -> "TcpClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
