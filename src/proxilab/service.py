@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .geo import (
+    EARTH_RADIUS_M,
     MAX_MERCATOR_LAT_DEG,
     METERS_PER_DEGREE,
     GeoPoint,
@@ -41,6 +43,15 @@ DEFAULT_SPEED_LIMIT_MPS = 25.0  # 90 km/h
 DEFAULT_BAN_S = 86_400.0
 DEFAULT_MAX_RESULTS = 100
 SECONDS_PER_DAY = 86_400.0
+
+# Edge of the registry's index blocks, about 1.1 km of latitude. Against a
+# search reach of about 13.3 km, the window of blocks a search visits, one
+# block of margin included, holds about 1.6 times the targets within reach
+# at mid latitudes; larger blocks inflate that share, smaller ones the
+# number of blocks to look up.
+BLOCK_DEG = 0.01
+_BLOCK_ROWS = round(180.0 / BLOCK_DEG)
+_BLOCK_COLS = round(360.0 / BLOCK_DEG)
 
 
 class QueryRejected(Exception):
@@ -77,6 +88,13 @@ class RegistryFormatError(ValueError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+
+def _check_lat(lat: float) -> None:
+    if abs(lat) >= MAX_MERCATOR_LAT_DEG:
+        raise ProjectionDomainError(
+            f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {lat}"
+        )
 
 
 @dataclass(frozen=True)
@@ -122,15 +140,29 @@ class Quantizer:
 
     def cell_size(self, lat_deg: float) -> float:
         """Ground extent of one cell in meters, identical in both axes."""
-        if abs(lat_deg) >= MAX_MERCATOR_LAT_DEG:
-            raise ProjectionDomainError(
-                f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {lat_deg}"
-            )
+        _check_lat(lat_deg)
         return self.grid_deg * METERS_PER_DEGREE * math.cos(math.radians(lat_deg))
 
 
-def classify(d_m: float, contact: bool = False, classes=DISTANCE_CLASSES_M) -> int | None:
-    """Bucket a distance into the nearest allowed class.
+ClassTable = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def class_table(classes=DISTANCE_CLASSES_M) -> ClassTable:
+    """The classes a listing may report, ascending, indexed by the contact
+    flag: the contact-only classes appear in row 1 alone."""
+    return tuple(
+        tuple(sorted(c for c in classes if contact or c not in CONTACT_ONLY_CLASSES_M))
+        for contact in (False, True)
+    )
+
+
+DEFAULT_CLASS_TABLE = class_table()
+
+
+def classify(
+    d_m: float, contact: bool = False, table: ClassTable = DEFAULT_CLASS_TABLE
+) -> int | None:
+    """Bucket a distance into the nearest allowed class of a `class_table`.
 
     Ties go to the smaller class. The 100 m class is reachable only for
     contacts. Returns None (not listed) beyond the largest class plus the
@@ -138,12 +170,20 @@ def classify(d_m: float, contact: bool = False, classes=DISTANCE_CLASSES_M) -> i
     """
     if d_m < 0:
         raise ValueError("distance must be non-negative")
-    allowed = tuple(sorted(c for c in classes if contact or c not in CONTACT_ONLY_CLASSES_M))
+    allowed = table[1 if contact else 0]
     if not allowed:
         raise ValueError("class set is empty")
     if d_m > allowed[-1] + LISTING_MARGIN_M:
         return None
-    return min(allowed, key=lambda c: (abs(d_m - c), c))
+    k = bisect_left(allowed, d_m)
+    if k == 0:
+        return allowed[0]
+    if k == len(allowed):
+        return allowed[-1]
+    # Only the two neighbours can be nearest; comparing them as below is the
+    # (|d - c|, c) ordering, so a tie goes to the smaller class.
+    lower, upper = allowed[k - 1], allowed[k]
+    return lower if d_m - lower <= upper - d_m else upper
 
 
 @dataclass
@@ -163,30 +203,91 @@ class AccountState:
     anchor_window: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetRecord:
     id: str
     pos: GeoPoint
     contact_of: frozenset = frozenset()
 
 
+def _block_of(p: GeoPoint) -> int:
+    row = math.floor((p.lat + 90.0) / BLOCK_DEG)
+    return row * _BLOCK_COLS + math.floor((p.lon + 180.0) / BLOCK_DEG) % _BLOCK_COLS
+
+
 class TargetRegistry:
-    """Opted-in targets with true positions, fixed unless explicitly moved."""
+    """Opted-in targets with true positions, fixed unless explicitly moved.
+
+    Records are bucketed by the `BLOCK_DEG` block of their true position so
+    that `near` touches only the blocks around a query. A record is never
+    mutated: `move` replaces it, so a caller may key derived data on the
+    record's identity. Positions must lie inside the Mercator domain.
+    """
 
     def __init__(self):
         self._targets: dict[str, TargetRecord] = {}
-        self.version = 0
+        self._blocks: dict[int, dict[str, TargetRecord]] = {}
+        self._lock = threading.Lock()
 
     def add(self, target_id: str, pos: GeoPoint, contact_of=()) -> None:
-        if target_id in self._targets:
-            raise ValueError(f"duplicate target id {target_id!r}")
-        self._targets[target_id] = TargetRecord(target_id, pos, frozenset(contact_of))
-        self.version += 1
+        _check_lat(pos.lat)
+        with self._lock:
+            if target_id in self._targets:
+                raise ValueError(f"duplicate target id {target_id!r}")
+            rec = TargetRecord(target_id, pos, frozenset(contact_of))
+            self._targets[target_id] = rec
+            self._blocks.setdefault(_block_of(pos), {})[target_id] = rec
 
     def move(self, target_id: str, pos: GeoPoint) -> None:
-        rec = self._targets[target_id]
-        self._targets[target_id] = TargetRecord(rec.id, pos, rec.contact_of)
-        self.version += 1
+        _check_lat(pos.lat)
+        with self._lock:
+            old = self._targets[target_id]
+            rec = TargetRecord(old.id, pos, old.contact_of)
+            self._targets[target_id] = rec
+            old_block, new_block = _block_of(old.pos), _block_of(pos)
+            if old_block != new_block:
+                bucket = self._blocks[old_block]
+                del bucket[target_id]
+                if not bucket:
+                    del self._blocks[old_block]
+            self._blocks.setdefault(new_block, {})[target_id] = rec
+
+    def near(self, center: GeoPoint, radius_m: float) -> list[TargetRecord]:
+        """Every record in a block that the spherical cap of radius_m about
+        center can reach, with one block of margin on each side: a superset
+        of the targets within radius_m, in no particular order."""
+        delta = radius_m / EARTH_RADIUS_M
+        span = math.degrees(delta)
+        row_lo = max(math.floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
+        row_hi = min(math.floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
+        # The window's columns run from col_lo for n_cols, modulo
+        # _BLOCK_COLS so they wrap at the antimeridian; a cap that reaches a
+        # pole, or spans every longitude, takes whole rows.
+        col_lo, n_cols = 0, _BLOCK_COLS
+        if abs(center.lat) + span < 90.0:
+            ratio = math.sin(delta) / math.cos(math.radians(center.lat))
+            if ratio < 1.0:
+                dlon = math.degrees(math.asin(ratio))
+                lo = math.floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
+                hi = math.floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
+                if hi - lo + 1 < _BLOCK_COLS:
+                    col_lo, n_cols = lo % _BLOCK_COLS, hi - lo + 1
+        out: list[TargetRecord] = []
+        with self._lock:
+            if (row_hi - row_lo + 1) * n_cols > len(self._blocks):
+                # Fewer occupied blocks than blocks in the window: test each.
+                for key, bucket in self._blocks.items():
+                    row, col = divmod(key, _BLOCK_COLS)
+                    if row_lo <= row <= row_hi and (col - col_lo) % _BLOCK_COLS < n_cols:
+                        out.extend(bucket.values())
+            else:
+                for row in range(row_lo, row_hi + 1):
+                    base = row * _BLOCK_COLS
+                    for col in range(col_lo, col_lo + n_cols):
+                        bucket = self._blocks.get(base + col % _BLOCK_COLS)
+                        if bucket:
+                            out.extend(bucket.values())
+        return out
 
     def position(self, target_id: str) -> GeoPoint:
         return self._targets[target_id].pos
@@ -245,10 +346,16 @@ class TargetRegistry:
 class Service:
     """The proximity service proper.
 
-    The registry is immutable during an experiment (moves bump a version
-    counter that invalidates the snapped-position cache). Per-account state
-    is mutated under a per-account lock so a threaded server can serialize
-    admissions per account while distance computation stays lock-free.
+    A search classifies only the targets that `TargetRegistry.near` returns
+    for the listing reach: the largest class plus the listing margin plus
+    the largest snap displacement of a target, so its cost follows the
+    number of nearby targets, not the registry size. Each target is snapped
+    once per registry record; a snapped point is reused only while the
+    registry still holds the record it came from, and `move` replaces the
+    record, so a moved target is never classified from its old position.
+    Per-account state is mutated under a per-account lock so a threaded
+    server can serialize admissions per account while distance computation
+    stays lock-free.
     """
 
     def __init__(
@@ -271,6 +378,8 @@ class Service:
         self.daily_quota = daily_quota
         self.speed_limit_mps = speed_limit_mps
         self.classes = tuple(classes)
+        if not self.classes:
+            raise ValueError("class set is empty")
         self.max_results = max_results
         self.ban_s = ban_s
         self.admission = admission
@@ -279,8 +388,15 @@ class Service:
         self._accounts: dict[str, AccountState] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
-        self._snap_cache: dict[str, GeoPoint] = {}
-        self._snap_cache_version = -1
+        self._class_table = class_table(self.classes)
+        # In either rounding mode a target moves at most one cell diagonal
+        # when snapped, and a cell is never wider than grid_deg of equator.
+        self._reach_m = (
+            max(self.classes)
+            + LISTING_MARGIN_M
+            + math.sqrt(2.0) * self.quantizer.grid_deg * METERS_PER_DEGREE
+        )
+        self._snapped: dict[str, tuple[TargetRecord, GeoPoint]] = {}
 
     # -- account state ----------------------------------------------------
 
@@ -346,30 +462,21 @@ class Service:
 
     # -- queries -----------------------------------------------------------
 
-    def _target_point(self, rec: TargetRecord) -> GeoPoint:
-        if self._snap_cache_version != self.registry.version:
-            self._snap_cache = {}
-            self._snap_cache_version = self.registry.version
-        pt = self._snap_cache.get(rec.id)
-        if pt is None:
-            pt = self.quantizer.snap_point(rec.pos)
-            self._snap_cache[rec.id] = pt
-        return pt
-
     def search(self, account_id: str, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:
         """Nearby listing for one query: [(target id, class meters)], sorted
         ascending by class then id, truncated to max_results."""
-        if abs(pos.lat) >= MAX_MERCATOR_LAT_DEG:
-            raise ProjectionDomainError(
-                f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {pos.lat}"
-            )
+        _check_lat(pos.lat)
         with self._lock_for(account_id):
             self._admit(self.account(account_id), pos, ts)
         query_pt = self.quantizer.snap_point(pos)
+        snapped = self._snapped
         out: list[tuple[str, int]] = []
-        for rec in self.registry.iter_sorted():
-            d = distance(query_pt, self._target_point(rec))
-            cls = classify(d, contact=account_id in rec.contact_of, classes=self.classes)
+        for rec in self.registry.near(query_pt, self._reach_m):
+            entry = snapped.get(rec.id)
+            if entry is None or entry[0] is not rec:
+                entry = snapped[rec.id] = (rec, self.quantizer.snap_point(rec.pos))
+            d = distance(query_pt, entry[1])
+            cls = classify(d, account_id in rec.contact_of, self._class_table)
             if cls is not None:
                 out.append((rec.id, cls))
         out.sort(key=lambda e: (e[1], e[0]))

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from proxilab.geo import GeoPoint, ProjectionDomainError, destination
+from proxilab.geo import GeoPoint, ProjectionDomainError, destination, distance
 from proxilab.service import (
+    DEFAULT_CLASS_TABLE,
     DISTANCE_CLASSES_M,
     AreaRestrictedError,
     FloodWaitError,
@@ -113,6 +117,35 @@ class TestClassify:
     def test_contact_only_class(self):
         assert classify(30.0, contact=True) == 100
         assert classify(30.0, contact=False) == 500
+        assert classify(300.0, contact=True) == 100  # tie with 500 goes to 100
+
+    def test_every_class_midpoint(self):
+        assert classify(1500.0) == 1000
+        assert classify(math.nextafter(1500.0, math.inf)) == 2000
+        for contact in (False, True):
+            allowed = DEFAULT_CLASS_TABLE[contact]
+            assert allowed == tuple(sorted(
+                c for c in DISTANCE_CLASSES_M if contact or c != 100
+            ))
+            for lower, upper in zip(allowed, allowed[1:]):
+                mid = (lower + upper) / 2.0
+                assert classify(mid, contact=contact) == lower
+                assert classify(math.nextafter(mid, math.inf), contact=contact) == upper
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        d=st.one_of(
+            st.floats(0.0, 13_000.0),
+            st.sampled_from(DISTANCE_CLASSES_M).map(float),
+        ),
+        contact=st.booleans(),
+    )
+    def test_matches_nearest_class_by_full_scan(self, d, contact):
+        allowed = [c for c in DISTANCE_CLASSES_M if contact or c != 100]
+        expected = None
+        if d <= max(allowed) + 500.0:
+            expected = min(allowed, key=lambda c: (abs(d - c), c))
+        assert classify(d, contact=contact) == expected
 
     def test_not_listed_beyond_cutoff(self):
         assert classify(12_500.0) == 12_000
@@ -329,6 +362,191 @@ class TestSearch:
         assert run(make_service(targets)) == run(make_service(targets))
 
 
+def brute_force_search(svc: Service, account: str, pos: GeoPoint) -> list[tuple[str, int]]:
+    """The listing by a scan over every record of the registry."""
+    query_pt = svc.quantizer.snap_point(pos)
+    out = []
+    for rec in svc.registry.iter_sorted():
+        d = distance(query_pt, svc.quantizer.snap_point(rec.pos))
+        cls = classify(d, contact=account in rec.contact_of)
+        if cls is not None:
+            out.append((rec.id, cls))
+    out.sort(key=lambda e: (e[1], e[0]))
+    return out[: svc.max_results]
+
+
+def _clamped(p: GeoPoint) -> GeoPoint:
+    return GeoPoint(max(-85.0, min(85.0, p.lat)), p.lon)
+
+
+ACCOUNTS = ("a", "b", "c")
+# Centers anywhere, near the Mercator limit, or within 0.05 deg of +-180.
+LAT_BANDS = st.sampled_from([(-85.0, 85.0), (84.0, 85.0), (-85.0, -84.0)])
+LON_BANDS = st.sampled_from([(-180.0, 180.0), (179.95, 180.0), (-180.0, -179.95)])
+
+
+class TestIndexedSearch:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        lat_band=LAT_BANDS,
+        lon_band=LON_BANDS,
+        n_targets=st.integers(1, 160),
+        spread_m=st.sampled_from([2_000.0, 14_000.0, 30_000.0]),
+        ring=st.booleans(),
+        grid_deg=st.sampled_from([0.005, 0.0125, 0.05]),
+        mode=st.sampled_from(["nearest", "floor"]),
+        max_results=st.sampled_from([1, 5, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_brute_force_scan(
+        self, lat_band, lon_band, n_targets, spread_m, ring, grid_deg, mode, max_results, seed
+    ):
+        # ring=True puts the targets 11-16 km out and the queries near the
+        # center, so many targets sit at the 12.5 km listing cut-off.
+        rng = random.Random(seed)
+        center = GeoPoint(rng.uniform(*lat_band), rng.uniform(*lon_band))
+
+        def around(lo_m: float, hi_m: float) -> GeoPoint:
+            dist = lo_m + (hi_m - lo_m) * rng.random() ** 0.5
+            return _clamped(destination(center, rng.uniform(0.0, 360.0), dist))
+
+        target_span = (11_000.0, 16_000.0) if ring else (0.0, spread_m)
+        query_span = (0.0, 500.0) if ring else (0.0, spread_m)
+        registry = TargetRegistry()
+        for k in range(n_targets):
+            contacts = [a for a in ACCOUNTS[:2] if rng.random() < 0.2]
+            registry.add(f"t{k:03d}", around(*target_span), contacts)
+        svc = Service(
+            registry,
+            Quantizer(grid_deg, mode=mode),
+            max_results=max_results,
+            speed_limit_mps=math.inf,
+        )
+        for step in range(12):
+            if step % 3 == 2:
+                registry.move(f"t{rng.randrange(n_targets):03d}", around(*target_span))
+            account = rng.choice(ACCOUNTS)
+            pos = around(*query_span)
+            assert svc.search(account, pos, float(step)) == brute_force_search(svc, account, pos)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lat_band=LAT_BANDS,
+        lon_band=LON_BANDS,
+        # 2,000 targets over 40 km occupy more blocks than the window of a
+        # small radius holds, so near() looks the window's blocks up; fewer
+        # targets, or a larger radius, make it test each occupied block.
+        n_targets=st.sampled_from([1, 50, 2_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_holds_every_target_within_the_radius(self, lat_band, lon_band, n_targets, seed):
+        rng = random.Random(seed)
+        center = GeoPoint(rng.uniform(*lat_band), rng.uniform(*lon_band))
+        registry = TargetRegistry()
+        for k in range(n_targets):
+            dist = 40_000.0 * rng.random() ** 0.5
+            registry.add(f"t{k}", _clamped(destination(center, rng.uniform(0.0, 360.0), dist)))
+        for _ in range(10):
+            q = _clamped(destination(center, rng.uniform(0.0, 360.0), 20_000.0 * rng.random()))
+            radius = rng.uniform(0.0, 30_000.0)
+            got = [rec.id for rec in registry.near(q, radius)]
+            assert len(got) == len(set(got))
+            within = {rec.id for rec in registry.iter_sorted() if distance(q, rec.pos) <= radius}
+            assert within <= set(got)
+
+    def test_polar_registry_position_rejected(self):
+        registry = TargetRegistry()
+        registry.add("t", GeoPoint(0.0, 0.0))
+        with pytest.raises(ProjectionDomainError):
+            registry.add("polar", GeoPoint(86.0, 0.0))
+        with pytest.raises(ProjectionDomainError):
+            registry.move("t", GeoPoint(-85.06, 0.0))
+        assert registry.ids() == ["t"]
+        assert registry.position("t") == GeoPoint(0.0, 0.0)
+        assert Service(registry).search("a", GeoPoint(0.0, 0.0), 0.0) == [("t", 500)]
+
+    def test_near_spans_the_antimeridian(self):
+        registry = TargetRegistry()
+        registry.add("east", GeoPoint(10.0, 179.99))
+        registry.add("west", GeoPoint(10.0, -179.99))
+        registry.add("far", GeoPoint(10.0, 179.0))
+        ids = sorted(rec.id for rec in registry.near(GeoPoint(10.0, 180.0), 13_000.0))
+        assert ids == ["east", "west"]
+
+    def test_near_cap_over_the_pole_takes_whole_rows(self):
+        registry = TargetRegistry()
+        registry.add("across", GeoPoint(85.0, 170.0))  # 1,113 km over the pole
+        registry.add("south", GeoPoint(70.0, -10.0))
+        ids = [rec.id for rec in registry.near(GeoPoint(85.0, -10.0), 1_200_000.0)]
+        assert ids == ["across"]
+        # a cap wider than a hemisphere reaches every longitude
+        ids = [rec.id for rec in registry.near(GeoPoint(0.0, 50.0), 15_000_000.0)]
+        assert sorted(ids) == ["across", "south"]
+
+    def test_reach_covers_the_snap_displacement(self):
+        # On a 0.05 deg floor grid a target just south of node row 3 snaps to
+        # row 2, 11.1 km from the querier at node (0, 0), though it lies
+        # 16.7 km away.
+        q = Quantizer(0.05, mode="floor")
+        target = destination(q.node_point(GridNode(0, 3)), 180.0, 1.0)
+        assert q.snap(target) == GridNode(0, 2)
+        svc = make_service([("t", target)], quantizer=q)
+        assert svc.search("a", GeoPoint(0.001, 0.001), 0.0) == [("t", 11_000)]
+
+    def test_moved_target_never_listed_from_old_position(self):
+        svc = make_service([("t", GeoPoint(40.0, -3.0))])
+        assert svc.search("a", GeoPoint(40.0, -3.0), 0.0) == [("t", 500)]
+        svc.registry.move("t", GeoPoint(41.0, -3.0))
+        assert svc.search("b", GeoPoint(40.0, -3.0), 0.0) == []
+        assert svc.search("c", GeoPoint(41.0, -3.0), 0.0) == [("t", 500)]
+
+    def test_concurrent_moves_and_searches(self):
+        # Moves between blocks race near() and search(); every record must
+        # stay in exactly one block, the one of its current position.
+        center = GeoPoint(40.0, -3.0)
+        registry = TargetRegistry()
+        for k in range(50):
+            registry.add(f"t{k:02d}", destination(center, 7.2 * k, 3_000.0))
+        svc = Service(registry, speed_limit_mps=math.inf, daily_quota=10**9)
+        errors: list[BaseException] = []
+
+        def mover(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(3_000):
+                    tid = f"t{rng.randrange(50):02d}"
+                    registry.move(tid, destination(center, rng.uniform(0, 360), rng.uniform(0, 12_000)))
+            except BaseException as exc:
+                errors.append(exc)
+
+        def searcher(account: str) -> None:
+            try:
+                for k in range(300):
+                    svc.search(account, center, float(k))
+                    assert len(registry.near(center, 20_000.0)) == 50
+            except BaseException as exc:
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mover, args=(s,)) for s in (1, 2)]
+            threads += [threading.Thread(target=searcher, args=(a,)) for a in ("s1", "s2")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        recs = registry.near(center, 20_000.0)
+        assert sorted(rec.id for rec in recs) == registry.ids()
+        assert all(registry.position(rec.id) == rec.pos for rec in recs)
+        assert svc.search("final", center, 1e6) == brute_force_search(svc, "final", center)
+
+
+
 class TestRegistryFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "targets.jsonl"
@@ -339,7 +557,14 @@ class TestRegistryFile:
         reg = TargetRegistry.from_jsonl(str(path))
         assert reg.ids() == ["t1", "t2"]
         assert reg.position("t1").lat == 25.26174
-        assert "a" in next(iter(reg.iter_sorted())).contact_of or True
+        assert [rec.contact_of for rec in reg.iter_sorted()] == [frozenset(), frozenset({"a"})]
+
+    def test_position_outside_mercator_domain_reports_line_number(self, tmp_path):
+        path = tmp_path / "targets.jsonl"
+        path.write_text('{"id": "ok", "lat": 0, "lon": 0}\n{"id": "polar", "lat": 86, "lon": 0}\n')
+        with pytest.raises(RegistryFormatError) as ei:
+            TargetRegistry.from_jsonl(str(path))
+        assert ei.value.line_no == 2
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "targets.jsonl"
