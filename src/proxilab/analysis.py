@@ -31,12 +31,17 @@ from .prober import (
     collect_transitions,
 )
 from .service import (
+    DEFAULT_GRID_DEG,
     SECONDS_PER_DAY,
     LocalClient,
     Quantizer,
     Service,
     TargetRegistry,
 )
+
+DEFAULT_STEP_M = 10.0  # target displacement per tile-size deployment
+TILE_SHIFTS = 4  # boundary shifts the tile-size scan waits for
+SHAPE_MIN_POINTS = 20  # boundary points below which the shape is Unknown
 
 
 class InsufficientCoverageError(ValueError):
@@ -69,6 +74,12 @@ class Rect:
     def __post_init__(self) -> None:
         if self.x_m > self.x_M or self.y_m > self.y_M:
             raise ValueError("rect edges out of order")
+
+    @classmethod
+    def from_points(cls, pts: np.ndarray) -> "Rect":
+        """Component-wise min/max box over (n, 2) points."""
+        (x_m, y_m), (x_M, y_M) = pts.min(axis=0), pts.max(axis=0)
+        return cls(float(x_m), float(x_M), float(y_m), float(y_M))
 
     @property
     def width(self) -> float:
@@ -190,15 +201,15 @@ def bounding_box(tset: TransitionSet, anchor: GeoPoint) -> Rect:
     pts = midpoints_local(tset, anchor)
     if len(pts) < 4:
         raise InsufficientCoverageError(f"need >= 4 transitions, have {len(pts)}")
-    rect = Rect(
-        x_m=float(pts[:, 0].min()),
-        x_M=float(pts[:, 0].max()),
-        y_m=float(pts[:, 1].min()),
-        y_M=float(pts[:, 1].max()),
-    )
+    rect = Rect.from_points(pts)
     if len(_crossing_sides(tset, anchor, rect)) < 3:
         raise InsufficientCoverageError("crossings cover fewer than 3 region faces")
     return rect
+
+
+def _tile_from_box(rect: Rect) -> float:
+    """Tile size implied by a box that spans three tiles per side."""
+    return (rect.width + rect.height) / 6.0
 
 
 def centroid(rect: Rect) -> tuple[float, float]:
@@ -272,11 +283,7 @@ def fit_uniform(samples) -> tuple[float, float]:
 # -- shape taxonomy ----------------------------------------------------------
 
 
-def classify_shape(
-    obj,
-    anchor: GeoPoint | None = None,
-    min_transitions: int = 20,
-) -> Shape:
+def classify_shape(obj, anchor: GeoPoint | None = None) -> Shape:
     """Square when boundary points reach the box corners, Cross when every
     corner is notched inward by at least a third of the tile size.
 
@@ -289,21 +296,16 @@ def classify_shape(
         pts = midpoints_local(obj, anchor)
     else:
         pts = np.asarray(list(obj), dtype=float).reshape(-1, 2)
-    if len(pts) < min_transitions:
+    if len(pts) < SHAPE_MIN_POINTS:
         return Shape.UNKNOWN
-    rect = Rect(
-        x_m=float(pts[:, 0].min()),
-        x_M=float(pts[:, 0].max()),
-        y_m=float(pts[:, 1].min()),
-        y_M=float(pts[:, 1].max()),
-    )
+    rect = Rect.from_points(pts)
     if rect.width <= 0 or rect.height <= 0:
         return Shape.UNKNOWN
     cx, cy = rect.center()
     quadrants = {(x > cx, y > cy) for x, y in pts if x != cx and y != cy}
     if len(quadrants) < 4:
         return Shape.UNKNOWN
-    tile = (rect.width + rect.height) / 6.0  # box spans three tiles per side
+    tile = _tile_from_box(rect)
     for corner in rect.corners():
         d_min = float(np.hypot(pts[:, 0] - corner[0], pts[:, 1] - corner[1]).min())
         if d_min <= tile / 3.0:
@@ -329,20 +331,14 @@ class SimulatorLab:
     measurement campaign, so reduced scans never exhaust the daily quota.
     """
 
-    def __init__(
-        self,
-        grid_deg: float = 0.005,
-        cfg: ProbeConfig | None = None,
-        account: str = "surveyor",
-        target_id: str = "probe",
-        quantizer: Quantizer | None = None,
-    ):
-        self.cfg = cfg or ProbeConfig()
-        self.target_id = target_id
+    target_id = "probe"
+
+    def __init__(self, grid_deg: float = DEFAULT_GRID_DEG):
+        self.cfg = ProbeConfig()
         self._registry = TargetRegistry()
-        self._registry.add(target_id, GeoPoint(0.0, 0.0))
-        self._service = Service(self._registry, quantizer or Quantizer(grid_deg))
-        self._client = LocalClient(self._service, account)
+        self._registry.add(self.target_id, GeoPoint(0.0, 0.0))
+        self._service = Service(self._registry, Quantizer(grid_deg))
+        self._client = LocalClient(self._service, "surveyor")
         self._day = 0
         self._pos: GeoPoint | None = None
 
@@ -378,14 +374,13 @@ class SimulatorLab:
         theta = math.radians(bearing)
         return xy.x * math.sin(theta) + xy.y * math.cos(theta)
 
-    def collect(self, pos: GeoPoint, seed: int = 0, n_transitions: int = 30) -> TransitionSet:
+    def collect(self, pos: GeoPoint, seed: int = 0) -> TransitionSet:
         self.deploy(pos)
         return collect_transitions(
             self._client,
             self.target_id,
             hint=pos,
             cfg=self.cfg,
-            n_transitions=n_transitions,
             start_ts=self._day * SECONDS_PER_DAY,
             rng=random.Random(seed),
         )
@@ -394,9 +389,8 @@ class SimulatorLab:
 def estimate_tile_size(
     lab: SimulatorLab,
     base: GeoPoint,
-    step: float = 10.0,
+    step: float = DEFAULT_STEP_M,
     axis: str = "x",
-    n_shifts: int = 4,
     max_span_m: float = 4000.0,
 ) -> float:
     """Tile size from boundary shifts under small target displacements.
@@ -405,7 +399,7 @@ def estimate_tile_size(
     records the offsets at which the measured class boundary jumps and
     returns the mean gap between consecutive shifts. Shift offsets are
     centered between the last unshifted and first shifted deployment, so the
-    estimate error is bounded by step / (n_shifts - 1).
+    estimate error is bounded by step / (TILE_SHIFTS - 1).
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
@@ -421,7 +415,7 @@ def estimate_tile_size(
         boundary = lab.boundary_along(base, bearing)
         if prev_boundary is not None and abs(boundary - prev_boundary) > threshold:
             shift_offsets.append(offset - step / 2.0)
-            if len(shift_offsets) >= n_shifts:
+            if len(shift_offsets) >= TILE_SHIFTS:
                 break
         prev_boundary = boundary
         offset += step
@@ -445,10 +439,9 @@ class SweepRow:
 
 def latitude_sweep(
     locations=SWEEP_CITIES,
-    step: float = 10.0,
-    grid_deg: float = 0.005,
+    step: float = DEFAULT_STEP_M,
+    grid_deg: float = DEFAULT_GRID_DEG,
     seed: int = 0,
-    n_shifts: int = 4,
     with_shape: bool = True,
 ) -> list[SweepRow]:
     """Tile size and localization error per location; failures are recorded
@@ -458,7 +451,7 @@ def latitude_sweep(
         pos = GeoPoint(lat, lon)
         try:
             lab = SimulatorLab(grid_deg=grid_deg)
-            tile = estimate_tile_size(lab, pos, step=step, n_shifts=n_shifts)
+            tile = estimate_tile_size(lab, pos, step=step)
             err = max_localization_error(tile)
             shape = Shape.UNKNOWN
             if with_shape:
@@ -474,39 +467,28 @@ def latitude_sweep(
 def run_probe_deployment(
     target_pos: GeoPoint,
     seed: int = 0,
-    grid_deg: float = 0.005,
-    cfg: ProbeConfig | None = None,
-    n_transitions: int = 30,
-    hint: GeoPoint | None = None,
-    account: str = "finder",
-    target_id: str = "target",
+    grid_deg: float = DEFAULT_GRID_DEG,
 ) -> tuple[TransitionSet, Service]:
-    """One fresh deployment plus attack run against an in-process service."""
+    """One fresh deployment plus attack run against an in-process service,
+    hinted at the target's true position."""
     registry = TargetRegistry()
-    registry.add(target_id, target_pos)
+    registry.add("target", target_pos)
     service = Service(registry, Quantizer(grid_deg))
-    client = LocalClient(service, account)
     tset = collect_transitions(
-        client,
-        target_id,
-        hint=hint or target_pos,
-        cfg=cfg or ProbeConfig(seed=seed),
-        n_transitions=n_transitions,
+        LocalClient(service, "finder"),
+        "target",
+        hint=target_pos,
+        cfg=ProbeConfig(seed=seed),
         rng=random.Random(seed),
     )
     return tset, service
 
 
-def build_report(
-    tset: TransitionSet,
-    anchor: GeoPoint,
-    tile_size_m: float | None = None,
-) -> PrivacyReport:
-    """Assemble the per-deployment report. When no independently measured
-    tile size is supplied it is derived from the box (three tiles per side)."""
+def build_report(tset: TransitionSet, anchor: GeoPoint) -> PrivacyReport:
+    """Assemble the per-deployment report, with the tile size derived from
+    the box."""
     rect = bounding_box(tset, anchor)
-    if tile_size_m is None:
-        tile_size_m = (rect.width + rect.height) / 6.0
+    tile_size_m = _tile_from_box(rect)
     return PrivacyReport(
         rect=rect,
         centroid=centroid(rect),
@@ -521,33 +503,24 @@ def build_report(
 # -- file outputs -------------------------------------------------------------
 
 
-def _config_line(config: dict | None) -> str:
-    return "# config " + json.dumps(config or {}, sort_keys=True, separators=(",", ":")) + "\n"
+def write_csv(path: str, header, rows, config: dict | None = None) -> None:
+    """CSV under a one-line `# config {...}` echo of the run configuration;
+    rows may be a generator, consumed while the file is written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# config " + json.dumps(config or {}, sort_keys=True, separators=(",", ":")) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_sweep_csv(path: str, rows: list[SweepRow], config: dict | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_config_line(config))
-        writer = csv.writer(fh)
-        writer.writerow(["name", "lat", "lon", "l_m", "D_m", "shape"])
-        for r in rows:
-            writer.writerow([
-                r.name,
-                r.lat,
-                r.lon,
-                "" if r.tile_size_m is None else r.tile_size_m,
-                "" if r.max_error_m is None else r.max_error_m,
-                r.shape,
-            ])
+    """A failed row leaves l_m and D_m empty: csv writes None as ""."""
+    out = ([r.name, r.lat, r.lon, r.tile_size_m, r.max_error_m, r.shape] for r in rows)
+    write_csv(path, ["name", "lat", "lon", "l_m", "D_m", "shape"], out, config)
 
 
 def write_ecdf_csv(path: str, dist: Ecdf, config: dict | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_config_line(config))
-        writer = csv.writer(fh)
-        writer.writerow(["value", "F", "lo", "hi"])
-        for row in dist.rows():
-            writer.writerow(list(row))
+    write_csv(path, ["value", "F", "lo", "hi"], dist.rows(), config)
 
 
 def write_report_json(path: str, report: PrivacyReport, config: dict | None = None) -> None:

@@ -9,7 +9,6 @@ a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
@@ -19,7 +18,8 @@ from dataclasses import asdict, dataclass
 from . import analysis, prober, wire
 from .geo import GeoPoint, destination
 from .prober import AttackBannedError, ProbeConfig, TargetNotFoundError, collect_transitions
-from .service import Quantizer, RegistryFormatError, Service, TargetRegistry, LocalClient
+from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
+from .service import LocalClient, Quantizer, RegistryFormatError, Service, TargetRegistry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,17 +35,26 @@ class ExperimentConfig:
     """Everything needed to reproduce a run; echoed into output headers."""
 
     seed: int = 0
-    grid_deg: float = 0.005
-    quota: int = 1000
-    speed_limit: float = 25.0
-    accuracy: float = 10.0
-    jump: float = 100.0
-    max_queries: int = 1000
-    transitions: int = 30
-    step: float = 10.0
+    grid_deg: float = DEFAULT_GRID_DEG
+    quota: int = DEFAULT_DAILY_QUOTA
+    speed_limit: float = DEFAULT_SPEED_LIMIT_MPS
+    accuracy: float = ProbeConfig.accuracy
+    jump: float = ProbeConfig.jump
+    max_queries: int = ProbeConfig.max_queries
+    transitions: int = prober.DEFAULT_TRANSITIONS
+    step: float = analysis.DEFAULT_STEP_M
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def service(self, registry: TargetRegistry, admission: str = "standard") -> Service:
+        return Service(
+            registry,
+            Quantizer(self.grid_deg),
+            daily_quota=self.quota,
+            speed_limit_mps=self.speed_limit,
+            admission=admission,
+        )
 
     def probe_config(self) -> ProbeConfig:
         return ProbeConfig(
@@ -55,12 +64,6 @@ class ExperimentConfig:
             speed_limit=self.speed_limit,
             seed=self.seed,
         )
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
 def _parse_bind(text: str) -> tuple[str, int]:
@@ -79,21 +82,12 @@ def _parse_point(text: str) -> GeoPoint:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        seed=_resolve_seed(args.seed),
-        grid_deg=args.grid_deg,
-        quota=getattr(args, "quota", 1000),
-        speed_limit=getattr(args, "speed_limit", 25.0),
-        accuracy=getattr(args, "accuracy", 10.0),
-        jump=getattr(args, "jump", 100.0),
-        max_queries=getattr(args, "max_queries", 1000),
-        transitions=getattr(args, "transitions", 30),
-        step=getattr(args, "step", 10.0),
-    )
-
-
-def _load_registry(path: str) -> TargetRegistry:
-    return TargetRegistry.from_jsonl(path)
+    """The fields the subcommand has flags for; the others keep their
+    ExperimentConfig defaults."""
+    given = {name: getattr(args, name) for name in args.config_fields}
+    if args.seed is not None:
+        given["seed"] = args.seed
+    return ExperimentConfig(**given)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -101,16 +95,10 @@ def _load_registry(path: str) -> TargetRegistry:
 
 def build_server(args) -> wire.ApiServer:
     """Registry plus bound endpoint from serve flags; raises on bad config."""
-    registry = _load_registry(args.targets)
+    registry = TargetRegistry.from_jsonl(args.targets)
     if len(registry) == 0:
         print("warning: registry is empty, serving anyway", file=sys.stderr)
-    service = Service(
-        registry,
-        Quantizer(args.grid_deg),
-        daily_quota=args.quota,
-        speed_limit_mps=args.speed_limit,
-        admission=args.admission,
-    )
+    service = _config_from_args(args).service(registry, admission=args.admission)
     host, port = args.bind
     server = wire.ApiServer(service, host, port)
     print(f"serving {len(registry)} target(s) on {server.address[0]}:{server.address[1]}")
@@ -142,24 +130,23 @@ def _attack_client(args, config: ExperimentConfig):
         host, port = args.endpoint
         client = wire.TcpClient(host, port, args.account)
         return client, None, client.close
-    if args.targets is None:
-        raise SystemExit("either --endpoint or --targets is required")
-    registry = _load_registry(args.targets)
-    service = Service(
-        registry,
-        Quantizer(config.grid_deg),
-        daily_quota=config.quota,
-        speed_limit_mps=config.speed_limit,
-    )
-    return LocalClient(service, args.account), registry, lambda: None
+    registry = TargetRegistry.from_jsonl(args.targets)
+    return LocalClient(config.service(registry), args.account), registry, lambda: None
 
 
 def cmd_attack(args) -> int:
     config = _config_from_args(args)
+    if args.endpoint is None and args.targets is None:
+        print("error: either --endpoint or --targets is required", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         client, registry, closer = _attack_client(args, config)
     except RegistryFormatError as exc:
         print(f"error: bad registry {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        flag = "--targets" if args.endpoint is None else "--endpoint"
+        print(f"error: cannot open {flag}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if registry is not None and args.target not in registry:
@@ -208,7 +195,7 @@ def cmd_analyze(args) -> int:
         print(f"error: bad transitions file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        registry = _load_registry(args.targets)
+        registry = TargetRegistry.from_jsonl(args.targets)
     except (RegistryFormatError, OSError) as exc:
         print(f"error: cannot read registry: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -229,7 +216,7 @@ def cmd_analyze(args) -> int:
 def _sweep_locations(args):
     if args.targets is None:
         return analysis.SWEEP_CITIES
-    registry = _load_registry(args.targets)
+    registry = TargetRegistry.from_jsonl(args.targets)
     return tuple((rec.id, rec.pos.lat, rec.pos.lon) for rec in registry.iter_sorted())
 
 
@@ -321,15 +308,16 @@ def cmd_figures(args) -> int:
     # Boundary-shift ladder behind the tile-size estimate.
     ladder_base = GeoPoint(analysis.SWEEP_CITIES[0][1], analysis.SWEEP_CITIES[0][2])
     lab = analysis.SimulatorLab(grid_deg=config.grid_deg)
-    with open(path("tile_shifts.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write("# config " + json.dumps(cfg_dict, sort_keys=True, separators=(",", ":")) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["offset_m", "boundary_m"])
+    ladder_end = 4.5 * lab.service.quantizer.cell_size(0.0)
+
+    def ladder():
         offset = 0.0
-        while offset <= 4.5 * 557.0:
+        while offset <= ladder_end:
             lab.deploy(destination(ladder_base, 90.0, offset))
-            writer.writerow([offset, lab.boundary_along(ladder_base, 90.0)])
+            yield offset, lab.boundary_along(ladder_base, 90.0)
             offset += config.step * 10  # coarse ladder for the plot
+
+    analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder(), config=cfg_dict)
     tile = analysis.estimate_tile_size(analysis.SimulatorLab(grid_deg=config.grid_deg), ladder_base, step=config.step)
     summary["tile_estimate"] = {
         "name": analysis.SWEEP_CITIES[0][0],
@@ -365,6 +353,7 @@ def cmd_figures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()
     parser = argparse.ArgumentParser(
         prog="proxilab",
         description=__doc__,
@@ -372,16 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_config(p, name: str, help: str | None = None) -> None:
+        """Flag for one ExperimentConfig field, typed and defaulted by the
+        field's default; _config_from_args reads back exactly these."""
+        default = getattr(defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default, help=help)
+        p.set_defaults(config_fields=(p.get_default("config_fields") or ()) + (name,))
+
     def add_common(p) -> None:
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--grid-deg", type=float, default=0.005, help="tessellation pitch in Mercator degrees")
+        # argparse converts a string default with `type`, so a malformed
+        # $PROXILAB_SEED is a usage error like a malformed --seed.
+        p.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR),
+                       help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+        add_config(p, "grid_deg", "tessellation pitch in Mercator degrees")
 
     p_serve = sub.add_parser("serve", help="run the simulated service over TCP")
     add_common(p_serve)
-    p_serve.add_argument("--bind", type=_parse_bind, default=("127.0.0.1", 7878), help="host:port to listen on")
+    p_serve.add_argument("--bind", type=_parse_bind, default=wire.DEFAULT_BIND, help="host:port to listen on")
     p_serve.add_argument("--targets", required=True, help="registry JSONL file")
-    p_serve.add_argument("--quota", type=int, default=1000, help="daily query quota per account")
-    p_serve.add_argument("--speed-limit", type=float, default=25.0, help="implied speed ban threshold, m/s")
+    add_config(p_serve, "quota", "daily query quota per account")
+    add_config(p_serve, "speed_limit", "implied speed ban threshold, m/s")
     p_serve.add_argument("--admission", choices=("standard", "anchored"), default="standard",
                          help="admission policy; 'anchored' is the area-restriction countermeasure")
     p_serve.set_defaults(func=cmd_serve)
@@ -393,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--account", default="finder")
     p_attack.add_argument("--target", required=True, help="target id to localize")
     p_attack.add_argument("--hint", type=_parse_point, default=None, help="rough prior position 'lat,lon'")
-    p_attack.add_argument("--accuracy", type=float, default=10.0)
-    p_attack.add_argument("--jump", type=float, default=100.0)
-    p_attack.add_argument("--max-queries", type=int, default=1000)
-    p_attack.add_argument("--transitions", type=int, default=30)
+    add_config(p_attack, "accuracy")
+    add_config(p_attack, "jump")
+    add_config(p_attack, "max_queries")
+    add_config(p_attack, "transitions")
     p_attack.add_argument("--out", required=True, help="transitions JSONL output")
     p_attack.set_defaults(func=cmd_attack)
 
@@ -410,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tile size and max error across latitudes")
     add_common(p_sweep)
     p_sweep.add_argument("--targets", default=None, help="locations JSONL (defaults to the bundled city list)")
-    p_sweep.add_argument("--step", type=float, default=10.0, help="target displacement step, meters")
+    add_config(p_sweep, "step", "target displacement step, meters")
     p_sweep.add_argument("--out", required=True, help="sweep CSV output")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figures", help="regenerate the canned experiment datasets")
     add_common(p_fig)
     p_fig.add_argument("--runs", type=int, default=300, help="deployments for the pooled distributions")
-    p_fig.add_argument("--step", type=float, default=10.0)
+    add_config(p_fig, "step")
     p_fig.add_argument("--out", required=True, help="output directory")
     p_fig.set_defaults(func=cmd_figures)
 

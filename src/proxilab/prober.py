@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .geo import GeoPoint, destination, distance, midpoint
-from .service import QueryRejected
+from .service import DEFAULT_SPEED_LIMIT_MPS, QueryRejected
 
 INNER_CLASS_M = 500
 OUTER_CLASS_M = 1000
 PACE_MARGIN = 0.996  # walk at 99.6% of the ban threshold
-PACE_SPEED_MPS = 24.9  # default threshold 25 m/s times the margin
+PACE_SPEED_MPS = DEFAULT_SPEED_LIMIT_MPS * PACE_MARGIN
 PACE_IDLE_S = 1.0  # clock tick for a zero-displacement re-query
 START_PROBE_BUDGET = 48
 START_PROBE_RADIUS_M = 1_000.0
@@ -95,7 +95,7 @@ class ProbeConfig:
     jump: float = 100.0
     max_queries: int = 1000
     reset_distance: float = 3000.0
-    speed_limit: float = 25.0
+    speed_limit: float = DEFAULT_SPEED_LIMIT_MPS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -386,11 +386,13 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     transitions: list[Transition] = []
     target = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object, got {type(rec).__name__}")
             if rec.get("type") == "meta":
                 meta = rec
                 target = rec.get("target")

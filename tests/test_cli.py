@@ -3,16 +3,34 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
+from proxilab.analysis import DEFAULT_STEP_M
 from proxilab.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_NOT_FOUND,
     EXIT_OK,
+    build_parser,
+    build_server,
     main,
 )
+from proxilab.geo import GeoPoint
+from proxilab.prober import DEFAULT_TRANSITIONS, ProbeConfig
+from proxilab.service import (
+    DEFAULT_DAILY_QUOTA,
+    DEFAULT_GRID_DEG,
+    DEFAULT_SPEED_LIMIT_MPS,
+    FloodWaitError,
+)
+from proxilab.wire import TcpClient
+
+CONFIG_KEYS = {
+    "seed", "grid_deg", "quota", "speed_limit", "accuracy",
+    "jump", "max_queries", "transitions", "step",
+}
 
 
 @pytest.fixture()
@@ -82,12 +100,46 @@ class TestAttack:
         ])
         assert code == EXIT_NOT_FOUND
 
+    def test_malformed_seed_env_exits_with_config_error(self, tmp_path, registry_file, monkeypatch):
+        monkeypatch.setenv("PROXILAB_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--targets", registry_file, "--target", "alice", "--out", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_seed_env_fallback(self, tmp_path, registry_file, monkeypatch):
         monkeypatch.setenv("PROXILAB_SEED", "7")
         out = tmp_path / "env.jsonl"
         code = main(["attack", "--targets", registry_file, "--target", "alice", "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text().splitlines()[0])["config"]["seed"] == 7
+
+
+    def test_missing_targets_file_exits_with_config_error(self, tmp_path, capsys):
+        code = main([
+            "attack", "--targets", str(tmp_path / "nope.jsonl"), "--target", "alice",
+            "--out", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_refused_endpoint_exits_with_config_error(self, tmp_path, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        code = main([
+            "attack", "--endpoint", f"127.0.0.1:{port}", "--target", "alice",
+            "--hint", "0,0", "--out", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_no_service_source_exits_with_config_error(self, tmp_path, capsys):
+        code = main(["attack", "--target", "alice", "--out", str(tmp_path / "t.jsonl")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestAnalyze:
@@ -108,6 +160,18 @@ class TestAnalyze:
             "--targets", registry_file, "--out", str(tmp_path / "r.json"),
         ])
         assert code == EXIT_CONFIG
+
+
+    def test_non_object_line_is_a_bad_transitions_file(self, tmp_path, registry_file, capsys):
+        tfile = tmp_path / "t.jsonl"
+        tfile.write_text('{"type": "meta", "target": "alice"}\n[1, 2]\n')
+        code = main([
+            "analyze", "--transitions", str(tfile),
+            "--targets", registry_file, "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad transitions file" in err and ":2:" in err
 
 
 class TestServe:
@@ -196,3 +260,61 @@ class TestFigures:
         assert (out / "edge_offset_x_ecdf.csv").exists()
         assert (out / "radius_ecdf.csv").exists()
         assert (out / "tile_shifts.csv").exists()
+
+
+class TestFlagsReachConsumers:
+    def test_sweep_header_echoes_every_field(self, tmp_path):
+        cities = tmp_path / "cities.jsonl"
+        cities.write_text('{"id": "Doha", "lat": 25.26174, "lon": 51.359269}\n')
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--targets", str(cities), "--step", "20", "--seed", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        header = out.read_text().splitlines()[0]
+        assert header.startswith("# config ")
+        cfg = json.loads(header[len("# config "):])
+        assert set(cfg) == CONFIG_KEYS
+        assert cfg == {
+            "seed": 4,
+            "grid_deg": DEFAULT_GRID_DEG,
+            "quota": DEFAULT_DAILY_QUOTA,
+            "speed_limit": DEFAULT_SPEED_LIMIT_MPS,
+            "accuracy": ProbeConfig().accuracy,
+            "jump": ProbeConfig().jump,
+            "max_queries": ProbeConfig().max_queries,
+            "transitions": DEFAULT_TRANSITIONS,
+            "step": 20.0,
+        }
+
+    def test_attack_meta_echoes_every_field(self, tmp_path, registry_file):
+        code, out = run_attack(tmp_path, registry_file, "t.jsonl", extra=[
+            "--accuracy", "8", "--jump", "120", "--max-queries", "900",
+            "--transitions", "6", "--grid-deg", "0.004",
+        ])
+        assert code == EXIT_OK
+        cfg = json.loads(out.read_text().splitlines()[0])["config"]
+        assert set(cfg) == CONFIG_KEYS
+        assert cfg == {
+            "seed": 0,
+            "grid_deg": 0.004,
+            "quota": DEFAULT_DAILY_QUOTA,
+            "speed_limit": DEFAULT_SPEED_LIMIT_MPS,
+            "accuracy": 8.0,
+            "jump": 120.0,
+            "max_queries": 900,
+            "transitions": 6,
+            "step": DEFAULT_STEP_M,
+        }
+
+    def test_serve_quota_reaches_the_service(self, registry_file):
+        args = build_parser().parse_args(
+            ["serve", "--targets", registry_file, "--bind", "127.0.0.1:0", "--quota", "1"]
+        )
+        server = build_server(args)
+        server.start()
+        try:
+            with TcpClient(*server.address, "finder", timeout=5.0) as client:
+                client.search(GeoPoint(0.0, 0.0), 0.0)
+                with pytest.raises(FloodWaitError):
+                    client.search(GeoPoint(0.0, 0.0), 1.0)
+        finally:
+            server.stop()
