@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from proxilab.prober import (
     write_transitions,
 )
 from proxilab.service import LocalClient, Quantizer, Service, TargetRegistry
-from proxilab.analysis import bounding_box, InsufficientCoverageError
+from proxilab.analysis import bounding_box, InsufficientCoverageError, run_probe_deployment
 
 from conftest import oracle_bbox_local, oracle_class
 
@@ -329,3 +330,52 @@ class TestTransitionsFile:
         path.write_text("")
         with pytest.raises(ValueError):
             read_transitions(str(path))
+
+
+# sha256 of write_transitions for one seeded in-process attack per placement
+# (the antimeridian included), recorded before the geo and service hot path
+# was rewritten: any reordered floating-point operation changes a digest.
+GOLDEN_TRANSITIONS = {
+    (0.0, 11.5, 0):
+        "16febc9a59e8a73c74f3955fd0915ef3295e98cd44bbb3356bed0c07af552724",
+    (23.0, 51.35, 1):
+        "223c4227cde5b62d4a5e3dc2bc28de95de52aa3fa6d9fbb46e94218747054344",
+    (60.0, 24.9, 2):
+        "549eaea4b757dd25bf22d4649f3b5c4e7932835a3b670697c805fdccbb33339e",
+    (-40.0, -64.2, 3):
+        "0709e11eb65276cd5a9ce0598a270b0c6e0393014f899db1cae98d57349439ef",
+    (10.0, 179.99, 4):
+        "32aad0fb585e2637fff59f9b2cc6c8f2b95150ace861cd6ba00a82b3549cc8d2",
+    # Close enough to 180 deg that about half the transitions lie east of it.
+    (10.0, 179.998, 5):
+        "fe5ed551d6a4e12b41ac0ea3b87c01b76536652656bf18f1cae3517df500fec9",
+}
+# sha256 of Quantizer.snap_point over SNAP_LATTICE, keyed by rounding mode.
+GOLDEN_SNAP = {
+    "nearest": "9ee5e3e107f452b78a4d82d268e1a5220d5f879e5312ec4d52e2a2419834f388",
+    "floor": "2fc941c77debe1a3666355163ea8e2f8c3de3f5d754bc25b8d901717972dc422",
+}
+SNAP_LATTICE = [
+    GeoPoint(lat, lon)
+    for lat in [-85.0 + 170.0 * k / 157 for k in range(158)]
+    for lon in [-180.0 + 360.0 * k / 211 + 0.00123 for k in range(211)]
+]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("lat, lon, seed", list(GOLDEN_TRANSITIONS))
+    def test_transitions_digest(self, tmp_path, lat, lon, seed):
+        tset, _ = run_probe_deployment(GeoPoint(lat, lon), seed=seed)
+        path = tmp_path / "transitions.jsonl"
+        write_transitions(str(path), tset, config={"seed": seed})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRANSITIONS[lat, lon, seed]
+
+    @pytest.mark.parametrize("mode", list(GOLDEN_SNAP))
+    def test_snap_point_digest(self, mode):
+        h = hashlib.sha256()
+        for grid in (0.005, 0.0125):
+            q = Quantizer(grid, mode)
+            for p in SNAP_LATTICE:
+                s = q.snap_point(p)
+                h.update(f"{s.lat.hex()} {s.lon.hex()}\n".encode())
+        assert h.hexdigest() == GOLDEN_SNAP[mode]
