@@ -399,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--out", required=True, help="transitions JSONL output")
     p_attack.set_defaults(func=cmd_attack)
 
+    # analyze echoes the config of the attack that wrote the transitions,
+    # so it takes no --seed or --grid-deg of its own.
     p_analyze = sub.add_parser("analyze", help="build a privacy report from transitions")
-    add_common(p_analyze)
     p_analyze.add_argument("--transitions", required=True, help="transitions JSONL input")
     p_analyze.add_argument("--targets", required=True, help="registry JSONL with the true target position")
     p_analyze.add_argument("--out", required=True, help="report JSON output")

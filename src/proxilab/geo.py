@@ -9,11 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import asin, atan, atan2, cos, exp, hypot, log, sin, sqrt, tan
 
 EARTH_RADIUS_M = 6_378_137.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0  # 111,319.49
 MAX_MERCATOR_LAT_DEG = 85.06
 LOCAL_FRAME_RANGE_M = 50_000.0
+
+# math.radians and math.degrees multiply by exactly these two factors, so
+# `x * RADIANS_PER_DEGREE` is bit-identical to `math.radians(x)`, minus
+# the call. The functions below inline them, and the longitude wrap, on
+# the per-query path; each keeps the operands and order of operations of
+# the textbook formula it implements.
+RADIANS_PER_DEGREE = math.pi / 180.0
+DEGREES_PER_RADIAN = 180.0 / math.pi
 
 
 class ProjectionDomainError(ValueError):
@@ -63,12 +72,15 @@ def distance(a: GeoPoint, b: GeoPoint) -> float:
 
     Symmetric, non-negative, and zero only for coincident points.
     """
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(_wrap_lon(b.lon - a.lon))
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    a_lat = a.lat
+    b_lat = b.lat
+    dphi = (b_lat - a_lat) * RADIANS_PER_DEGREE
+    dlam = ((b.lon - a.lon + 180.0) % 360.0 - 180.0) * RADIANS_PER_DEGREE
+    h = (
+        sin(dphi / 2.0) ** 2
+        + cos(a_lat * RADIANS_PER_DEGREE) * cos(b_lat * RADIANS_PER_DEGREE) * sin(dlam / 2.0) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h)))
 
 
 def to_mercator(p: GeoPoint) -> MercatorPoint:
@@ -77,12 +89,12 @@ def to_mercator(p: GeoPoint) -> MercatorPoint:
         raise ProjectionDomainError(
             f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {p.lat}"
         )
-    y = math.degrees(math.log(math.tan(math.pi / 4.0 + math.radians(p.lat) / 2.0)))
+    y = log(tan(math.pi / 4.0 + p.lat * RADIANS_PER_DEGREE / 2.0)) * DEGREES_PER_RADIAN
     return MercatorPoint(x=p.lon, y=y)
 
 
 def from_mercator(m: MercatorPoint) -> GeoPoint:
-    lat = math.degrees(2.0 * math.atan(math.exp(math.radians(m.y))) - math.pi / 2.0)
+    lat = (2.0 * atan(exp(m.y * RADIANS_PER_DEGREE)) - math.pi / 2.0) * DEGREES_PER_RADIAN
     return GeoPoint(lat=lat, lon=m.x)
 
 
@@ -92,18 +104,18 @@ def to_local(anchor: GeoPoint, p: GeoPoint) -> LocalXY:
     Cheap and exact to invert; accurate well below 0.01 m round-trip for
     offsets up to several km. Offsets beyond 50 km are rejected.
     """
-    x = _wrap_lon(p.lon - anchor.lon) * math.cos(math.radians(anchor.lat)) * METERS_PER_DEGREE
+    x = _wrap_lon(p.lon - anchor.lon) * cos(anchor.lat * RADIANS_PER_DEGREE) * METERS_PER_DEGREE
     y = (p.lat - anchor.lat) * METERS_PER_DEGREE
-    if math.hypot(x, y) > LOCAL_FRAME_RANGE_M:
+    if hypot(x, y) > LOCAL_FRAME_RANGE_M:
         raise LocalFrameRangeError(f"point {p} beyond {LOCAL_FRAME_RANGE_M} m of anchor")
     return LocalXY(x=x, y=y, anchor=anchor)
 
 
 def from_local(xy: LocalXY) -> GeoPoint:
-    if math.hypot(xy.x, xy.y) > LOCAL_FRAME_RANGE_M:
+    if hypot(xy.x, xy.y) > LOCAL_FRAME_RANGE_M:
         raise LocalFrameRangeError(f"offset beyond {LOCAL_FRAME_RANGE_M} m of anchor")
     lat = xy.anchor.lat + xy.y / METERS_PER_DEGREE
-    lon = xy.anchor.lon + xy.x / (METERS_PER_DEGREE * math.cos(math.radians(xy.anchor.lat)))
+    lon = xy.anchor.lon + xy.x / (METERS_PER_DEGREE * cos(xy.anchor.lat * RADIANS_PER_DEGREE))
     return GeoPoint(lat=lat, lon=lon)
 
 
@@ -113,21 +125,32 @@ def destination(p: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoint:
         raise ValueError("displacement must be non-negative")
     if dist_m == 0.0:
         return p
-    theta = math.radians(bearing_deg)
+    theta = bearing_deg * RADIANS_PER_DEGREE
     delta = dist_m / EARTH_RADIUS_M
-    phi1 = math.radians(p.lat)
-    lam1 = math.radians(p.lon)
-    sin_phi2 = math.sin(phi1) * math.cos(delta) + math.cos(phi1) * math.sin(delta) * math.cos(theta)
-    sin_phi2 = max(-1.0, min(1.0, sin_phi2))
-    phi2 = math.asin(sin_phi2)
-    lam2 = lam1 + math.atan2(
-        math.sin(theta) * math.sin(delta) * math.cos(phi1),
-        math.cos(delta) - math.sin(phi1) * sin_phi2,
+    phi1 = p.lat * RADIANS_PER_DEGREE
+    sin_phi1 = sin(phi1)
+    cos_phi1 = cos(phi1)
+    sin_delta = sin(delta)
+    cos_delta = cos(delta)
+    sin_phi2 = max(-1.0, min(1.0, sin_phi1 * cos_delta + cos_phi1 * sin_delta * cos(theta)))
+    lam2 = p.lon * RADIANS_PER_DEGREE + atan2(
+        sin(theta) * sin_delta * cos_phi1,
+        cos_delta - sin_phi1 * sin_phi2,
     )
-    return GeoPoint(lat=math.degrees(phi2), lon=math.degrees(lam2))
+    return GeoPoint(lat=asin(sin_phi2) * DEGREES_PER_RADIAN, lon=lam2 * DEGREES_PER_RADIAN)
 
 
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
-    """Midpoint of the short segment from a to b via the local frame of a."""
-    xy = to_local(a, b)
-    return from_local(LocalXY(xy.x / 2.0, xy.y / 2.0, a))
+    """Midpoint of the short segment from a to b via the local frame of a:
+    `from_local` of half of `to_local(a, b)`, computed without the two
+    intermediate `LocalXY` frames. Half an offset that passed the range
+    check always passes it again, so only `to_local`'s check remains."""
+    cos_lat = cos(a.lat * RADIANS_PER_DEGREE)
+    x = ((b.lon - a.lon + 180.0) % 360.0 - 180.0) * cos_lat * METERS_PER_DEGREE
+    y = (b.lat - a.lat) * METERS_PER_DEGREE
+    if hypot(x, y) > LOCAL_FRAME_RANGE_M:
+        raise LocalFrameRangeError(f"point {b} beyond {LOCAL_FRAME_RANGE_M} m of anchor")
+    return GeoPoint(
+        lat=a.lat + y / 2.0 / METERS_PER_DEGREE,
+        lon=a.lon + x / 2.0 / (METERS_PER_DEGREE * cos_lat),
+    )

@@ -17,11 +17,14 @@ import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import asin, atan, cos, exp, floor, log, sin, tan
 
 from .geo import (
+    DEGREES_PER_RADIAN,
     EARTH_RADIUS_M,
     MAX_MERCATOR_LAT_DEG,
     METERS_PER_DEGREE,
+    RADIANS_PER_DEGREE,
     GeoPoint,
     MercatorPoint,
     ProjectionDomainError,
@@ -136,7 +139,21 @@ class Quantizer:
         return from_mercator(MercatorPoint(node.i * self.grid_deg, node.j * self.grid_deg))
 
     def snap_point(self, p: GeoPoint) -> GeoPoint:
-        return self.node_point(self.snap(p))
+        """`node_point(snap(p))` in one pass: the arithmetic of `to_mercator`,
+        `_index` and `from_mercator`, operation for operation, without the
+        intermediate `MercatorPoint`s and `GridNode`."""
+        lat = p.lat
+        _check_lat(lat)
+        g = self.grid_deg
+        y = log(tan(math.pi / 4.0 + lat * RADIANS_PER_DEGREE / 2.0)) * DEGREES_PER_RADIAN
+        if self.mode == "nearest":
+            i = floor(p.lon / g + 0.5)
+            j = floor(y / g + 0.5)
+        else:
+            i = floor(p.lon / g)
+            j = floor(y / g)
+        node_lat = (2.0 * atan(exp(j * g * RADIANS_PER_DEGREE)) - math.pi / 2.0) * DEGREES_PER_RADIAN
+        return GeoPoint(lat=node_lat, lon=i * g)
 
     def cell_size(self, lat_deg: float) -> float:
         """Ground extent of one cell in meters, identical in both axes."""
@@ -257,19 +274,19 @@ class TargetRegistry:
         center can reach, with one block of margin on each side: a superset
         of the targets within radius_m, in no particular order."""
         delta = radius_m / EARTH_RADIUS_M
-        span = math.degrees(delta)
-        row_lo = max(math.floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
-        row_hi = min(math.floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
+        span = delta * DEGREES_PER_RADIAN
+        row_lo = max(floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
+        row_hi = min(floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
         # The window's columns run from col_lo for n_cols, modulo
         # _BLOCK_COLS so they wrap at the antimeridian; a cap that reaches a
         # pole, or spans every longitude, takes whole rows.
         col_lo, n_cols = 0, _BLOCK_COLS
         if abs(center.lat) + span < 90.0:
-            ratio = math.sin(delta) / math.cos(math.radians(center.lat))
+            ratio = sin(delta) / cos(center.lat * RADIANS_PER_DEGREE)
             if ratio < 1.0:
-                dlon = math.degrees(math.asin(ratio))
-                lo = math.floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
-                hi = math.floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
+                dlon = asin(ratio) * DEGREES_PER_RADIAN
+                lo = floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
+                hi = floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
                 if hi - lo + 1 < _BLOCK_COLS:
                     col_lo, n_cols = lo % _BLOCK_COLS, hi - lo + 1
         out: list[TargetRecord] = []
@@ -355,7 +372,10 @@ class Service:
     record, so a moved target is never classified from its old position.
     Per-account state is mutated under a per-account lock so a threaded
     server can serialize admissions per account while distance computation
-    stays lock-free.
+    stays lock-free. One table maps each account to its state and its lock;
+    a search reads it without a lock, and only the first use of an account
+    takes the table's guard, so two threads never create two states for
+    one account.
     """
 
     def __init__(
@@ -385,8 +405,7 @@ class Service:
         self.admission = admission
         self.anchor_radius_m = anchor_radius_m
         self.anchor_window_s = anchor_window_s
-        self._accounts: dict[str, AccountState] = {}
-        self._locks: dict[str, threading.Lock] = {}
+        self._accounts: dict[str, tuple[AccountState, threading.Lock]] = {}
         self._guard = threading.Lock()
         self._class_table = class_table(self.classes)
         # In either rounding mode a target moves at most one cell diagonal
@@ -400,21 +419,17 @@ class Service:
 
     # -- account state ----------------------------------------------------
 
-    def account(self, account_id: str) -> AccountState:
-        with self._guard:
-            st = self._accounts.get(account_id)
-            if st is None:
-                st = AccountState(id=account_id)
-                self._accounts[account_id] = st
-            return st
+    def _account_entry(self, account_id: str) -> tuple[AccountState, threading.Lock]:
+        entry = self._accounts.get(account_id)
+        if entry is None:
+            with self._guard:
+                entry = self._accounts.get(account_id)
+                if entry is None:
+                    entry = self._accounts[account_id] = (AccountState(id=account_id), threading.Lock())
+        return entry
 
-    def _lock_for(self, account_id: str) -> threading.Lock:
-        with self._guard:
-            lock = self._locks.get(account_id)
-            if lock is None:
-                lock = threading.Lock()
-                self._locks[account_id] = lock
-            return lock
+    def account(self, account_id: str) -> AccountState:
+        return self._account_entry(account_id)[0]
 
     def _admit(self, st: AccountState, pos: GeoPoint, ts: float) -> None:
         if st.last_ts is not None and ts < st.last_ts:
@@ -466,8 +481,9 @@ class Service:
         """Nearby listing for one query: [(target id, class meters)], sorted
         ascending by class then id, truncated to max_results."""
         _check_lat(pos.lat)
-        with self._lock_for(account_id):
-            self._admit(self.account(account_id), pos, ts)
+        st, lock = self._account_entry(account_id)
+        with lock:
+            self._admit(st, pos, ts)
         query_pt = self.quantizer.snap_point(pos)
         snapped = self._snapped
         out: list[tuple[str, int]] = []

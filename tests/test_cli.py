@@ -161,6 +161,18 @@ class TestAnalyze:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag", [["--seed", "9"], ["--grid-deg", "0.5"]])
+    def test_flags_it_would_ignore_are_usage_errors(self, tmp_path, registry_file, flag, capsys):
+        # The report echoes the attack's own config, so a seed or grid pitch
+        # given here could only be silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "analyze", "--transitions", str(tmp_path / "t.jsonl"),
+                "--targets", registry_file, "--out", str(tmp_path / "r.json"), *flag,
+            ])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_non_object_line_is_a_bad_transitions_file(self, tmp_path, registry_file, capsys):
         tfile = tmp_path / "t.jsonl"

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxilab.geo import (
     EARTH_RADIUS_M,
@@ -26,6 +27,46 @@ from proxilab.geo import (
 
 # closed-form arc length for 0.005 degrees on the equator
 ARC_0005_DEG = 0.005 * math.pi / 180.0 * EARTH_RADIUS_M
+
+LATS = st.floats(-85.0, 85.0)
+# Longitudes anywhere, with extra weight within 0.01 deg of the antimeridian.
+LONS = st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99))
+# Offsets of up to 0.6 deg, so some pairs lie beyond the 50 km local frame.
+OFFSETS = st.floats(-0.6, 0.6)
+
+
+def bits(p: GeoPoint) -> tuple[str, str]:
+    """Exact representation of a point: equal only if every bit is."""
+    return p.lat.hex(), p.lon.hex()
+
+
+def textbook_haversine(a: GeoPoint, b: GeoPoint) -> float:
+    """Haversine with math.radians, the longitude difference wrapped into
+    [-180, 180)."""
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dphi = math.radians(b.lat - a.lat)
+    dlam = math.radians((b.lon - a.lon + 180.0) % 360.0 - 180.0)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def textbook_destination(p: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoint:
+    """Spherical direct problem with math.radians and math.degrees; a zero
+    displacement returns the start itself."""
+    if dist_m == 0.0:
+        return p
+    theta = math.radians(bearing_deg)
+    delta = dist_m / EARTH_RADIUS_M
+    phi1 = math.radians(p.lat)
+    lam1 = math.radians(p.lon)
+    sin_phi2 = math.sin(phi1) * math.cos(delta) + math.cos(phi1) * math.sin(delta) * math.cos(theta)
+    sin_phi2 = max(-1.0, min(1.0, sin_phi2))
+    lam2 = lam1 + math.atan2(
+        math.sin(theta) * math.sin(delta) * math.cos(phi1),
+        math.cos(delta) - math.sin(phi1) * sin_phi2,
+    )
+    return GeoPoint(math.degrees(math.asin(sin_phi2)), math.degrees(lam2))
 
 
 class TestGeoPoint:
@@ -62,6 +103,13 @@ class TestDistance:
             b = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
             assert distance(a, b) == pytest.approx(distance(b, a), rel=1e-12)
             assert distance(a, b) >= 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(a_lat=LATS, a_lon=LONS, dlat=OFFSETS, dlon=OFFSETS)
+    def test_bit_identical_to_textbook_haversine(self, a_lat, a_lon, dlat, dlon):
+        a = GeoPoint(a_lat, a_lon)
+        for b in (GeoPoint(a_lat + dlat, a_lon + dlon), GeoPoint(-a_lat, a_lon + 180.0 * dlon)):
+            assert distance(a, b).hex() == textbook_haversine(a, b).hex()
 
     def test_triangle_inequality_within_disc(self):
         rng = random.Random(11)
@@ -149,6 +197,12 @@ class TestDestination:
         assert p.lat == pytest.approx(0.005, abs=1e-6)
         assert p.lon == pytest.approx(0.0, abs=1e-9)
 
+    @settings(max_examples=500, deadline=None)
+    @given(lat=LATS, lon=LONS, bearing=st.floats(0.0, 360.0), dist=st.floats(0.0, 60_000.0))
+    def test_bit_identical_to_textbook_formula(self, lat, lon, bearing, dist):
+        p = GeoPoint(lat, lon)
+        assert bits(destination(p, bearing, dist)) == bits(textbook_destination(p, bearing, dist))
+
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             destination(GeoPoint(0, 0), 0.0, -1.0)
@@ -171,3 +225,22 @@ class TestMidpoint:
         m = midpoint(a, b)
         assert distance(a, m) == pytest.approx(50.0, rel=1e-3)
         assert distance(m, b) == pytest.approx(50.0, rel=1e-3)
+
+    def test_range_error_beyond_50km(self):
+        with pytest.raises(LocalFrameRangeError):
+            midpoint(GeoPoint(0, 0), GeoPoint(0, 0.5))
+        with pytest.raises(LocalFrameRangeError):
+            midpoint(GeoPoint(60, 179.9), GeoPoint(60.46, -179.9))
+
+    @settings(max_examples=500, deadline=None)
+    @given(a_lat=LATS, a_lon=LONS, dlat=OFFSETS, dlon=OFFSETS)
+    def test_bit_identical_to_half_the_local_offset(self, a_lat, a_lon, dlat, dlon):
+        a = GeoPoint(a_lat, a_lon)
+        b = GeoPoint(a_lat + dlat, a_lon + dlon)
+        try:
+            xy = to_local(a, b)
+        except LocalFrameRangeError:
+            with pytest.raises(LocalFrameRangeError):
+                midpoint(a, b)
+            return
+        assert bits(midpoint(a, b)) == bits(from_local(LocalXY(xy.x / 2, xy.y / 2, a)))

@@ -83,6 +83,27 @@ class TestQuantizer:
         with pytest.raises(ProjectionDomainError):
             Quantizer().snap(GeoPoint(85.1, 0.0))
 
+    @pytest.mark.parametrize("mode", ["nearest", "floor"])
+    def test_snap_point_domain_error_at_the_mercator_limit(self, mode):
+        q = Quantizer(mode=mode)
+        for lat in (85.06, -85.06, 89.0):
+            with pytest.raises(ProjectionDomainError):
+                q.snap_point(GeoPoint(lat, 0.0))
+        assert abs(q.snap_point(GeoPoint(85.0599, 0.0)).lat) < 85.06
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lat=st.floats(-85.0, 85.0),
+        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
+        grid=st.sampled_from((0.005, 0.0125, 0.05)),
+        mode=st.sampled_from(("nearest", "floor")),
+    )
+    def test_snap_point_is_bit_identical_to_node_point_of_snap(self, lat, lon, grid, mode):
+        q = Quantizer(grid, mode)
+        p = GeoPoint(lat, lon)
+        got, want = q.snap_point(p), q.node_point(q.snap(p))
+        assert (got.lat.hex(), got.lon.hex()) == (want.lat.hex(), want.lon.hex())
+
     def test_cell_size_examples(self):
         q = Quantizer()
         assert q.cell_size(0.0) == pytest.approx(556.6, abs=0.05)
@@ -243,6 +264,37 @@ class TestAdmission:
         for who in "abc":
             assert admitted[who] == 50
             assert svc.account(who).total_admitted == 50
+
+    def test_concurrent_first_use_of_accounts(self):
+        # All threads meet at each fresh account and race to create it; the
+        # account must end with one state that counts every thread's search.
+        svc = make_service([("t", GeoPoint(0, 0))])
+        accounts = [f"fresh{k:02d}" for k in range(50)]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+
+        def first_use() -> None:
+            try:
+                for account in accounts:
+                    barrier.wait(timeout=30.0)
+                    svc.search(account, GeoPoint(0.001, 0.001), 5.0)
+            except BaseException as exc:
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [svc.account(a).total_admitted for a in accounts] == [n_threads] * len(accounts)
 
     def test_non_monotonic_timestamp_is_protocol_error(self):
         svc = make_service([("t", GeoPoint(0, 0))])
