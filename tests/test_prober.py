@@ -332,9 +332,9 @@ class TestTransitionsFile:
             read_transitions(str(path))
 
 
-# sha256 of write_transitions for one seeded in-process attack per placement
-# (the antimeridian included), recorded before the geo and service hot path
-# was rewritten: any reordered floating-point operation changes a digest.
+# sha256 of write_transitions for one seeded in-process attack per placement,
+# the antimeridian included: a reordered floating-point operation anywhere on
+# the attack path (geo, the quantizer, the walker) changes a digest.
 GOLDEN_TRANSITIONS = {
     (0.0, 11.5, 0):
         "16febc9a59e8a73c74f3955fd0915ef3295e98cd44bbb3356bed0c07af552724",

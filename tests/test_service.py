@@ -7,10 +7,12 @@ import math
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxilab import service
 from proxilab.geo import GeoPoint, ProjectionDomainError, destination, distance
 from proxilab.service import (
     DEFAULT_CLASS_TABLE,
@@ -265,9 +267,18 @@ class TestAdmission:
             assert admitted[who] == 50
             assert svc.account(who).total_admitted == 50
 
-    def test_concurrent_first_use_of_accounts(self):
+    def test_concurrent_first_use_of_accounts(self, monkeypatch):
         # All threads meet at each fresh account and race to create it; the
         # account must end with one state that counts every thread's search.
+        # A slow state constructor widens the window between a thread
+        # missing the account in the table and its insert, so a creation
+        # that does not check again under the guard loses searches.
+        class SlowAccountState(service.AccountState):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.001)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(service, "AccountState", SlowAccountState)
         svc = make_service([("t", GeoPoint(0, 0))])
         accounts = [f"fresh{k:02d}" for k in range(50)]
         n_threads = 8
