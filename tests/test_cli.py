@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 
@@ -330,3 +331,37 @@ class TestFlagsReachConsumers:
                     client.search(GeoPoint(0.0, 0.0), 1.0)
         finally:
             server.stop()
+
+
+# sha256 of every file that `sweep --step 20 --seed 0` and `figures --runs 10
+# --seed 0` write: a change anywhere in the lab harness (the tile-size ladder,
+# the sweep rows, the pooled deployments, the CSV and JSON writers) that moves
+# one byte of an output fails here.
+GOLDEN_SWEEP = "687be2fa638f72cb67c8da5c1d5defe696e7bd0a3015cf6b63cd05f9b1e7cc07"
+GOLDEN_FIGURES = {
+    "edge_offset_x_ecdf.csv": "42ffc3c901bb82be5824f41461ea6c0491af3850435a31e521effbb36e5a287c",
+    "edge_offset_y_ecdf.csv": "16c05a69aebcc9aa2465b1f95c1de21115b6e93991866d0f5c1df4bd24e758d6",
+    "phase_ecdf.csv": "05e1338413e05a94f1c1e6d435219e96285a7b1769eec31289adbd858eee2d81",
+    "radius_ecdf.csv": "f78a3c7718e5895364dc5972e256c33dbee744c7240370187d08436199f0151c",
+    "summary.json": "e3b4a012c8127ed0fb5b116719b8d4d225a0f1b04c2eaac66757c03ebb27b827",
+    "sweep.csv": "23781cdef46d7e7af6fe7f79afd65ac5d15bf4d46178781fd9d3d2d44f9260e2",
+    "tile_shifts.csv": "8f3d68a036efc67beb6c89b71f6fb2f00f0959d818104ce37cd31559c21cd3b1",
+    "walk_report.json": "f0c4b55bde766fe30386af9e39fd212c746c622a298859ee41dff036c636420f",
+    "walk_transitions.jsonl": "6acccdd97735c0258bfb8a29b4e7a10e1b8f84eabd53ee063fa8afc716fffe0b",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    def test_sweep_digest(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--step", "20", "--seed", "0", "--out", str(out)]) == EXIT_OK
+        assert _sha256(out) == GOLDEN_SWEEP
+
+    def test_figures_digests(self, tmp_path):
+        out = tmp_path / "figs"
+        assert main(["figures", "--runs", "10", "--seed", "0", "--out", str(out)]) == EXIT_OK
+        assert {p.name: _sha256(p) for p in out.iterdir()} == GOLDEN_FIGURES
