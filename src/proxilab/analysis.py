@@ -337,53 +337,30 @@ class SimulatorLab:
         self.cfg = ProbeConfig()
         self._registry = TargetRegistry()
         self._registry.add(self.target_id, GeoPoint(0.0, 0.0))
-        self._service = Service(self._registry, Quantizer(grid_deg))
-        self._client = LocalClient(self._service, "surveyor")
+        self._client = LocalClient(Service(self._registry, Quantizer(grid_deg)), "surveyor")
         self._day = 0
-        self._pos: GeoPoint | None = None
 
-    @property
-    def service(self) -> Service:
-        return self._service
-
-    def deploy(self, pos: GeoPoint) -> None:
-        self._registry.move(self.target_id, pos)
-        self._day += 1
-        self._pos = pos
-
-    def session(self, seed: int = 0) -> ProbeSession:
-        return ProbeSession(
-            self._client,
-            self.target_id,
-            self.cfg,
-            start_ts=self._day * SECONDS_PER_DAY,
-            rng=random.Random(seed),
-        )
-
-    def boundary_along(self, origin: GeoPoint, bearing: float) -> float:
-        """Signed distance from origin, along the bearing, of the nearest
-        class boundary beyond the deployed target."""
-        if self._pos is None:
-            raise RuntimeError("deploy a target first")
-        sess = self.session()
-        if sess.query_class(self._pos) != INNER_CLASS_M:
-            raise RuntimeError("deployed position does not report the inner class")
-        inside, outside = sess.probe_outward(self._pos, self._pos, bearing)
-        t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
-        xy = to_local(origin, t.midpoint())
+    def ladder(self, base: GeoPoint, bearing: float, step: float, end: float):
+        """Deploy the target every `step` meters from base along the bearing,
+        up to `end` meters, and yield (offset, boundary): the signed distance
+        from base, along the bearing, of the nearest class boundary beyond
+        the deployed target."""
         theta = math.radians(bearing)
-        return xy.x * math.sin(theta) + xy.y * math.cos(theta)
-
-    def collect(self, pos: GeoPoint, seed: int = 0) -> TransitionSet:
-        self.deploy(pos)
-        return collect_transitions(
-            self._client,
-            self.target_id,
-            hint=pos,
-            cfg=self.cfg,
-            start_ts=self._day * SECONDS_PER_DAY,
-            rng=random.Random(seed),
-        )
+        offset = 0.0
+        while offset <= end:
+            pos = destination(base, bearing, offset)
+            self._registry.move(self.target_id, pos)
+            self._day += 1
+            sess = ProbeSession(
+                self._client, self.target_id, self.cfg, start_ts=self._day * SECONDS_PER_DAY
+            )
+            if sess.query_class(pos) != INNER_CLASS_M:
+                raise RuntimeError("deployed position does not report the inner class")
+            inside, outside = sess.probe_outward(pos, pos, bearing)
+            t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
+            xy = to_local(base, t.midpoint())
+            yield offset, xy.x * math.sin(theta) + xy.y * math.cos(theta)
+            offset += step
 
 
 def estimate_tile_size(
@@ -405,20 +382,15 @@ def estimate_tile_size(
         raise ValueError("axis must be 'x' or 'y'")
     if step <= 0:
         raise ValueError("step must be positive")
-    bearing = 90.0 if axis == "x" else 0.0
     threshold = 5.0 * lab.cfg.accuracy  # real shifts are >= one tile, far above jitter
     shift_offsets: list[float] = []
     prev_boundary: float | None = None
-    offset = 0.0
-    while offset <= max_span_m:
-        lab.deploy(destination(base, bearing, offset))
-        boundary = lab.boundary_along(base, bearing)
+    for offset, boundary in lab.ladder(base, 90.0 if axis == "x" else 0.0, step, max_span_m):
         if prev_boundary is not None and abs(boundary - prev_boundary) > threshold:
             shift_offsets.append(offset - step / 2.0)
             if len(shift_offsets) >= TILE_SHIFTS:
                 break
         prev_boundary = boundary
-        offset += step
     if len(shift_offsets) < 2:
         raise NoShiftObservedError(
             f"only {len(shift_offsets)} boundary shift(s) within {max_span_m} m; widen the span"
@@ -450,13 +422,11 @@ def latitude_sweep(
     for name, lat, lon in locations:
         pos = GeoPoint(lat, lon)
         try:
-            lab = SimulatorLab(grid_deg=grid_deg)
-            tile = estimate_tile_size(lab, pos, step=step)
+            tile = estimate_tile_size(SimulatorLab(grid_deg=grid_deg), pos, step=step)
             err = max_localization_error(tile)
             shape = Shape.UNKNOWN
             if with_shape:
-                shape_lab = SimulatorLab(grid_deg=grid_deg)
-                tset = shape_lab.collect(pos, seed=seed)
+                tset, _ = run_probe_deployment(pos, seed, grid_deg)
                 shape = classify_shape(tset, anchor=pos)
             rows.append(SweepRow(name, lat, lon, tile, err, shape.value))
         except Exception as exc:  # per-row failure, sweep continues
@@ -478,7 +448,6 @@ def run_probe_deployment(
         LocalClient(service, "finder"),
         "target",
         hint=target_pos,
-        cfg=ProbeConfig(seed=seed),
         rng=random.Random(seed),
     )
     return tset, service

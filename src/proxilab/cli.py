@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import analysis, prober, wire
-from .geo import GeoPoint, destination
+from .geo import GeoPoint
 from .prober import AttackBannedError, ProbeConfig, TargetNotFoundError, collect_transitions
 from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
 from .service import LocalClient, Quantizer, RegistryFormatError, Service, TargetRegistry
@@ -84,10 +84,7 @@ def _parse_point(text: str) -> GeoPoint:
 def _config_from_args(args) -> ExperimentConfig:
     """The fields the subcommand has flags for; the others keep their
     ExperimentConfig defaults."""
-    given = {name: getattr(args, name) for name in args.config_fields}
-    if args.seed is not None:
-        given["seed"] = args.seed
-    return ExperimentConfig(**given)
+    return ExperimentConfig(**{name: getattr(args, name) for name in args.config_fields})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -305,29 +302,18 @@ def cmd_figures(args) -> int:
         "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho) if rho else None,
     }
 
-    # Boundary-shift ladder behind the tile-size estimate.
-    ladder_base = GeoPoint(analysis.SWEEP_CITIES[0][1], analysis.SWEEP_CITIES[0][2])
-    lab = analysis.SimulatorLab(grid_deg=config.grid_deg)
-    ladder_end = 4.5 * lab.service.quantizer.cell_size(0.0)
+    # Boundary-shift ladder behind the tile-size estimate, coarse for the plot.
+    ladder_end = 4.5 * Quantizer(config.grid_deg).cell_size(0.0)
+    ladder = analysis.SimulatorLab(grid_deg=config.grid_deg).ladder(
+        GeoPoint(*analysis.SWEEP_CITIES[0][1:]), 90.0, config.step * 10, ladder_end
+    )
+    analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder, config=cfg_dict)
 
-    def ladder():
-        offset = 0.0
-        while offset <= ladder_end:
-            lab.deploy(destination(ladder_base, 90.0, offset))
-            yield offset, lab.boundary_along(ladder_base, 90.0)
-            offset += config.step * 10  # coarse ladder for the plot
-
-    analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder(), config=cfg_dict)
-    tile = analysis.estimate_tile_size(analysis.SimulatorLab(grid_deg=config.grid_deg), ladder_base, step=config.step)
-    summary["tile_estimate"] = {
-        "name": analysis.SWEEP_CITIES[0][0],
-        "l_m": tile,
-        "D_m": analysis.max_localization_error(tile),
-    }
-
-    # Latitude sweep over the bundled city list.
+    # Latitude sweep over the bundled city list; its first row, on the
+    # ladder's city, is the tile-size estimate.
     rows = analysis.latitude_sweep(step=config.step, grid_deg=config.grid_deg, seed=seed)
     analysis.write_sweep_csv(path("sweep.csv"), rows, config=cfg_dict)
+    summary["tile_estimate"] = {"name": rows[0].name, "l_m": rows[0].tile_size_m, "D_m": rows[0].max_error_m}
     summary["sweep"] = [
         {"name": r.name, "lat": r.lat, "l_m": r.tile_size_m, "D_m": r.max_error_m, "shape": r.shape}
         for r in rows
@@ -368,15 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default, help=help)
         p.set_defaults(config_fields=(p.get_default("config_fields") or ()) + (name,))
 
+    grid_help = "tessellation pitch in Mercator degrees"
+
     def add_common(p) -> None:
+        add_config(p, "seed", f"RNG seed (default ${SEED_ENV_VAR} or 0)")
         # argparse converts a string default with `type`, so a malformed
         # $PROXILAB_SEED is a usage error like a malformed --seed.
-        p.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR),
-                       help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
-        add_config(p, "grid_deg", "tessellation pitch in Mercator degrees")
+        p.set_defaults(seed=os.environ.get(SEED_ENV_VAR, defaults.seed))
+        add_config(p, "grid_deg", grid_help)
 
+    # The server has no randomness, so it takes no --seed.
     p_serve = sub.add_parser("serve", help="run the simulated service over TCP")
-    add_common(p_serve)
+    add_config(p_serve, "grid_deg", grid_help)
     p_serve.add_argument("--bind", type=_parse_bind, default=wire.DEFAULT_BIND, help="host:port to listen on")
     p_serve.add_argument("--targets", required=True, help="registry JSONL file")
     add_config(p_serve, "quota", "daily query quota per account")

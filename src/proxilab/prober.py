@@ -136,7 +136,12 @@ def pace(prev_pos: GeoPoint, next_pos: GeoPoint, prev_ts: float, speed: float = 
 
 
 class ProbeSession:
-    """Stateful walker: pacing, budget and per-transition query accounting."""
+    """Stateful walker: pacing, budget and per-transition query accounting.
+
+    An emitted transition is charged every query since its outward probe or
+    inward walk began; every query no transition was charged for is
+    exploration.
+    """
 
     def __init__(
         self,
@@ -151,8 +156,8 @@ class ProbeSession:
         self.cfg = cfg or ProbeConfig()
         self.rng = rng if rng is not None else random.Random(self.cfg.seed)
         self.queries = 0
-        self.exploration_queries = 0
-        self._pending = 0
+        self._charged = 0
+        self._mark = 0
         self._pos: GeoPoint | None = None
         self._ts = start_ts
         self._step = "start"
@@ -160,6 +165,10 @@ class ProbeSession:
     @property
     def clock(self) -> float:
         return self._ts
+
+    @property
+    def exploration_queries(self) -> int:
+        return self.queries - self._charged
 
     def query_class(self, pos: GeoPoint) -> int | None:
         """Paced, budgeted query; returns the reported class for the target
@@ -177,19 +186,10 @@ class ProbeSession:
         self._pos = pos
         self._ts = ts
         self.queries += 1
-        self._pending += 1
         for tid, cls in entries:
             if tid == self.target:
                 return cls
         return None
-
-    def _take_pending(self) -> int:
-        n = self._pending
-        self._pending = 0
-        return n
-
-    def discard_pending(self) -> None:
-        self.exploration_queries += self._take_pending()
 
     # -- attack phases ------------------------------------------------------
 
@@ -197,16 +197,13 @@ class ProbeSession:
         """Find a position whose reported class is 500, probing a 1 km disc
         around the hint after trying the hint itself."""
         self._step = "find-start"
-        try:
-            if self.query_class(hint) == INNER_CLASS_M:
-                return hint
-            for _ in range(START_PROBE_BUDGET - 1):
-                r = START_PROBE_RADIUS_M * math.sqrt(self.rng.random())
-                cand = destination(hint, self.rng.uniform(0.0, 360.0), r)
-                if self.query_class(cand) == INNER_CLASS_M:
-                    return cand
-        finally:
-            self.discard_pending()
+        if self.query_class(hint) == INNER_CLASS_M:
+            return hint
+        for _ in range(START_PROBE_BUDGET - 1):
+            r = START_PROBE_RADIUS_M * math.sqrt(self.rng.random())
+            cand = destination(hint, self.rng.uniform(0.0, 360.0), r)
+            if self.query_class(cand) == INNER_CLASS_M:
+                return cand
         raise TargetNotFoundError(
             f"no inner-class position within {START_PROBE_BUDGET} probes of the hint"
         )
@@ -217,14 +214,11 @@ class ProbeSession:
         Returns the accepted bearing and the already-queried landing point.
         """
         self._step = "choose-direction"
-        try:
-            for _ in range(DIRECTION_RETRIES):
-                bearing = self.rng.uniform(0.0, 360.0)
-                cand = destination(pos, bearing, self.cfg.jump)
-                if self.query_class(cand) == INNER_CLASS_M:
-                    return bearing, cand
-        finally:
-            self.discard_pending()
+        for _ in range(DIRECTION_RETRIES):
+            bearing = self.rng.uniform(0.0, 360.0)
+            cand = destination(pos, bearing, self.cfg.jump)
+            if self.query_class(cand) == INNER_CLASS_M:
+                return bearing, cand
         raise DirectionsExhaustedError(f"{DIRECTION_RETRIES} bearings rejected from {pos}")
 
     def probe_outward(self, anchor: GeoPoint, start: GeoPoint, bearing: float) -> tuple[GeoPoint, GeoPoint]:
@@ -232,11 +226,11 @@ class ProbeSession:
         last-inside/first-outside pair. Resets when the walk strays farther
         than reset_distance from the anchor."""
         self._step = "probe-outward"
+        self._mark = self.queries
         cur = start
         while True:
             nxt = destination(cur, bearing, self.cfg.jump)
             if distance(anchor, nxt) > self.cfg.reset_distance:
-                self.discard_pending()
                 raise _WalkReset
             cls = self.query_class(nxt)
             if cls == OUTER_CLASS_M:
@@ -244,7 +238,6 @@ class ProbeSession:
             if cls == INNER_CLASS_M:
                 cur = nxt
                 continue
-            self.discard_pending()
             raise InconsistentOracleError(f"class {cls!r} while probing outward at {nxt}")
 
     def bisect_boundary(
@@ -255,7 +248,8 @@ class ProbeSession:
         bearing: float = 0.0,
     ) -> Transition:
         """Binary-search the straddle down to cfg.accuracy and emit the
-        transition, charging it every query since the phase began."""
+        transition, charging it every query since the outward probe or
+        inward walk that led here began."""
         self._step = "bisect"
         while distance(inside, outside) > self.cfg.accuracy:
             mid = midpoint(inside, outside)
@@ -265,27 +259,28 @@ class ProbeSession:
             elif cls == OUTER_CLASS_M:
                 outside = mid
             else:
-                self.discard_pending()
                 raise InconsistentOracleError(f"class {cls!r} while bisecting at {mid}")
+        spent = self.queries - self._mark
+        self._charged += spent
         return Transition(
             inside=inside,
             outside=outside,
             bearing=bearing,
             direction=direction,
-            queries_spent=self._take_pending(),
+            queries_spent=spent,
         )
 
     def walk_inward(self, start_outside: GeoPoint, bearing: float) -> Transition:
         """Walk back toward the region until the class flips to 500, then
         bisect and emit the IN transition."""
         self._step = "walk-inward"
+        self._mark = self.queries
         cur = start_outside
         walked = 0.0
         while True:
             nxt = destination(cur, bearing, self.cfg.jump)
             walked += self.cfg.jump
             if walked > self.cfg.reset_distance:
-                self.discard_pending()
                 raise _WalkReset
             cls = self.query_class(nxt)
             if cls == INNER_CLASS_M:
@@ -293,7 +288,6 @@ class ProbeSession:
             if cls == OUTER_CLASS_M:
                 cur = nxt
                 continue
-            self.discard_pending()
             raise InconsistentOracleError(f"class {cls!r} while walking inward at {nxt}")
 
 
@@ -337,7 +331,6 @@ def collect_transitions(
             collected.append(t_in)
             pos = t_in.inside
     except _BudgetExhausted:
-        sess.discard_pending()
         exhausted = True
     return TransitionSet(
         target=target,

@@ -44,6 +44,10 @@ DEFAULT_GRID_DEG = 0.005
 DEFAULT_DAILY_QUOTA = 1000
 DEFAULT_SPEED_LIMIT_MPS = 25.0  # 90 km/h
 DEFAULT_BAN_S = 86_400.0
+# Anchored admission: an account's first query in each window declares
+# its area, and later queries in that window must stay within the radius.
+ANCHOR_RADIUS_M = 10.0
+ANCHOR_WINDOW_S = 600.0
 DEFAULT_MAX_RESULTS = 100
 SECONDS_PER_DAY = 86_400.0
 
@@ -161,25 +165,17 @@ class Quantizer:
         return self.grid_deg * METERS_PER_DEGREE * math.cos(math.radians(lat_deg))
 
 
-ClassTable = tuple[tuple[int, ...], tuple[int, ...]]
+# The classes a listing may report, ascending, indexed by the contact flag:
+# the contact-only classes appear in row 1 alone.
+DEFAULT_CLASS_TABLE = tuple(
+    tuple(sorted(c for c in DISTANCE_CLASSES_M if contact or c not in CONTACT_ONLY_CLASSES_M))
+    for contact in (False, True)
+)
 
 
-def class_table(classes=DISTANCE_CLASSES_M) -> ClassTable:
-    """The classes a listing may report, ascending, indexed by the contact
-    flag: the contact-only classes appear in row 1 alone."""
-    return tuple(
-        tuple(sorted(c for c in classes if contact or c not in CONTACT_ONLY_CLASSES_M))
-        for contact in (False, True)
-    )
-
-
-DEFAULT_CLASS_TABLE = class_table()
-
-
-def classify(
-    d_m: float, contact: bool = False, table: ClassTable = DEFAULT_CLASS_TABLE
-) -> int | None:
-    """Bucket a distance into the nearest allowed class of a `class_table`.
+def classify(d_m: float, contact: bool = False) -> int | None:
+    """Bucket a distance into the nearest allowed class of
+    `DEFAULT_CLASS_TABLE`.
 
     Ties go to the smaller class. The 100 m class is reachable only for
     contacts. Returns None (not listed) beyond the largest class plus the
@@ -187,9 +183,7 @@ def classify(
     """
     if d_m < 0:
         raise ValueError("distance must be non-negative")
-    allowed = table[1 if contact else 0]
-    if not allowed:
-        raise ValueError("class set is empty")
+    allowed = DEFAULT_CLASS_TABLE[1 if contact else 0]
     if d_m > allowed[-1] + LISTING_MARGIN_M:
         return None
     k = bisect_left(allowed, d_m)
@@ -384,12 +378,8 @@ class Service:
         quantizer: Quantizer | None = None,
         daily_quota: int = DEFAULT_DAILY_QUOTA,
         speed_limit_mps: float = DEFAULT_SPEED_LIMIT_MPS,
-        classes=DISTANCE_CLASSES_M,
         max_results: int = DEFAULT_MAX_RESULTS,
-        ban_s: float = DEFAULT_BAN_S,
         admission: str = "standard",
-        anchor_radius_m: float = 10.0,
-        anchor_window_s: float = 600.0,
     ):
         if admission not in ("standard", "anchored"):
             raise ValueError(f"unknown admission policy {admission!r}")
@@ -397,21 +387,14 @@ class Service:
         self.quantizer = quantizer or Quantizer()
         self.daily_quota = daily_quota
         self.speed_limit_mps = speed_limit_mps
-        self.classes = tuple(classes)
-        if not self.classes:
-            raise ValueError("class set is empty")
         self.max_results = max_results
-        self.ban_s = ban_s
         self.admission = admission
-        self.anchor_radius_m = anchor_radius_m
-        self.anchor_window_s = anchor_window_s
         self._accounts: dict[str, tuple[AccountState, threading.Lock]] = {}
         self._guard = threading.Lock()
-        self._class_table = class_table(self.classes)
         # In either rounding mode a target moves at most one cell diagonal
         # when snapped, and a cell is never wider than grid_deg of equator.
         self._reach_m = (
-            max(self.classes)
+            max(DISTANCE_CLASSES_M)
             + LISTING_MARGIN_M
             + math.sqrt(2.0) * self.quantizer.grid_deg * METERS_PER_DEGREE
         )
@@ -447,29 +430,29 @@ class Service:
             st.day_epoch = day
             st.queries_today = 0
         if self.admission == "anchored":
-            window = int(ts // self.anchor_window_s)
+            window = int(ts // ANCHOR_WINDOW_S)
             if st.anchor_window != window:
                 st.anchor_window = window
                 st.anchor_pos = pos
-            elif distance(st.anchor_pos, pos) > self.anchor_radius_m:
-                next_window = (window + 1) * self.anchor_window_s
+            elif distance(st.anchor_pos, pos) > ANCHOR_RADIUS_M:
+                next_window = (window + 1) * ANCHOR_WINDOW_S
                 raise AreaRestrictedError(
                     "position outside the declared area for this window",
                     retry_after_s=next_window - ts,
                 )
         if st.queries_today >= self.daily_quota:
-            st.ban_until = ts + self.ban_s
+            st.ban_until = ts + DEFAULT_BAN_S
             st.ban_code = "FLOOD_WAIT"
             st.ban_events += 1
-            raise FloodWaitError("daily query quota exhausted", retry_after_s=self.ban_s)
+            raise FloodWaitError("daily query quota exhausted", retry_after_s=DEFAULT_BAN_S)
         if st.last_pos is not None and st.last_ts is not None:
             d = distance(st.last_pos, pos)
             dt = ts - st.last_ts
             if d > self.speed_limit_mps * dt:
-                st.ban_until = ts + self.ban_s
+                st.ban_until = ts + DEFAULT_BAN_S
                 st.ban_code = "SPEED_BAN"
                 st.ban_events += 1
-                raise SpeedBanError("implied speed above limit", retry_after_s=self.ban_s)
+                raise SpeedBanError("implied speed above limit", retry_after_s=DEFAULT_BAN_S)
         st.queries_today += 1
         st.total_admitted += 1
         st.last_pos = pos
@@ -492,7 +475,7 @@ class Service:
             if entry is None or entry[0] is not rec:
                 entry = snapped[rec.id] = (rec, self.quantizer.snap_point(rec.pos))
             d = distance(query_pt, entry[1])
-            cls = classify(d, account_id in rec.contact_of, self._class_table)
+            cls = classify(d, account_id in rec.contact_of)
             if cls is not None:
                 out.append((rec.id, cls))
         out.sort(key=lambda e: (e[1], e[0]))

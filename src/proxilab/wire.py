@@ -27,13 +27,8 @@ from .service import (
 PROTOCOL_VERSION = 1
 DEFAULT_BIND = ("127.0.0.1", 7878)
 REQUEST_FIELDS = {"v", "type", "account", "lat", "lon", "ts"}
-ERROR_CODES = ("FLOOD_WAIT", "SPEED_BAN", "BAD_REQUEST", "AREA_RESTRICTED")
-
-_CODE_TO_ERROR = {
-    "FLOOD_WAIT": FloodWaitError,
-    "SPEED_BAN": SpeedBanError,
-    "AREA_RESTRICTED": AreaRestrictedError,
-}
+_CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError, AreaRestrictedError)}
+ERROR_CODES = ("BAD_REQUEST", *_CODE_TO_ERROR)
 
 
 class DecodeError(ValueError):
@@ -201,11 +196,7 @@ class TcpClient:
 
     def request(self, msg: dict) -> dict:
         """Send one raw message and return the raw response (for tests)."""
-        self._sock.sendall(encode(msg))
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return decode(line)
+        return self.request_line(encode(msg))
 
     def request_line(self, raw: bytes) -> dict:
         """Send pre-encoded bytes (possibly junk) and return the response."""

@@ -228,6 +228,15 @@ class TestServe:
         server.stop()
         assert "serving 10 target(s)" in capsys.readouterr().out
 
+    def test_seed_is_a_usage_error(self, registry_file, capsys):
+        # The server has no randomness, so a seed could only be silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--targets", registry_file, "--bind", "127.0.0.1:0", "--seed", "9"]
+            )
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_two_city_sweep_csv(self, tmp_path):
@@ -273,6 +282,14 @@ class TestFigures:
         assert (out / "edge_offset_x_ecdf.csv").exists()
         assert (out / "radius_ecdf.csv").exists()
         assert (out / "tile_shifts.csv").exists()
+
+    def test_failed_tile_scan_is_written_as_nulls(self, tmp_path):
+        # A 3 km step sees fewer than two boundary shifts within the scan's
+        # span, so the sweep's first row, and with it the tile estimate, fails.
+        out = tmp_path / "figs"
+        assert main(["figures", "--runs", "10", "--step", "3000", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tile_estimate"] == {"name": "Kourou", "l_m": None, "D_m": None}
 
 
 class TestFlagsReachConsumers:

@@ -272,6 +272,21 @@ class TestCollect:
             assert tset.spent_queries() + tset.exploration_queries == tset.total_queries
             assert service.account("finder").total_admitted == tset.total_queries
 
+    # Budgets of 1 to 80 queries run out in every phase; a 300 m reset
+    # distance resets every walk, 700 m resets some walks between transitions.
+    @pytest.mark.parametrize(
+        "cfg",
+        [ProbeConfig(max_queries=n) for n in range(1, 81)]
+        + [ProbeConfig(reset_distance=300.0), ProbeConfig(reset_distance=700.0)],
+        ids=[f"max_queries={n}" for n in range(1, 81)] + ["reset_distance=300", "reset_distance=700"],
+    )
+    def test_query_accounting_under_budget_cuts_and_resets(self, cfg):
+        target = GeoPoint(40.0, -3.0)
+        client, service = make_setup(target)
+        tset = collect_transitions(client, "t", hint=target, cfg=cfg, rng=random.Random(0))
+        assert tset.spent_queries() + tset.exploration_queries == tset.total_queries
+        assert tset.total_queries == service.account("finder").total_admitted
+
     def test_no_default_run_is_ever_banned(self, midlat_runs):
         for _, _, service in midlat_runs:
             assert service.account("finder").ban_events == 0
