@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geo import GeoPoint, destination, to_local
+from .geo import GeoPoint, ProjectionDomainError, destination, to_local
 from .prober import (
     INNER_CLASS_M,
     Direction,
@@ -416,8 +416,10 @@ def latitude_sweep(
     seed: int = 0,
     with_shape: bool = True,
 ) -> list[SweepRow]:
-    """Tile size and localization error per location; failures are recorded
-    per row and the sweep continues."""
+    """Tile size and localization error per location. A failure of the
+    harness at one location (a `RuntimeError` from the tile scan or the
+    walker, or a position outside the Mercator domain) is recorded in that
+    row and the sweep continues; any other exception propagates."""
     rows: list[SweepRow] = []
     for name, lat, lon in locations:
         pos = GeoPoint(lat, lon)
@@ -429,7 +431,7 @@ def latitude_sweep(
                 tset, _ = run_probe_deployment(pos, seed, grid_deg)
                 shape = classify_shape(tset, anchor=pos)
             rows.append(SweepRow(name, lat, lon, tile, err, shape.value))
-        except Exception as exc:  # per-row failure, sweep continues
+        except (RuntimeError, ProjectionDomainError) as exc:
             rows.append(SweepRow(name, lat, lon, None, None, Shape.UNKNOWN.value, str(exc)))
     return rows
 

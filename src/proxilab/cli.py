@@ -217,6 +217,12 @@ def _sweep_locations(args):
     return tuple((rec.id, rec.pos.lat, rec.pos.lon) for rec in registry.iter_sorted())
 
 
+def _warn_failed_rows(rows: list[analysis.SweepRow]) -> None:
+    for r in rows:
+        if r.error:
+            print(f"warning: {r.name}: {r.error}", file=sys.stderr)
+
+
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
     try:
@@ -231,9 +237,7 @@ def cmd_sweep(args) -> int:
         seed=config.seed,
     )
     analysis.write_sweep_csv(args.out, rows, config=config.to_dict())
-    failures = [r for r in rows if r.error]
-    for r in failures:
-        print(f"warning: {r.name}: {r.error}", file=sys.stderr)
+    _warn_failed_rows(rows)
     print(f"{len(rows)} location(s) -> {args.out}")
     return EXIT_OK
 
@@ -313,6 +317,7 @@ def cmd_figures(args) -> int:
     # ladder's city, is the tile-size estimate.
     rows = analysis.latitude_sweep(step=config.step, grid_deg=config.grid_deg, seed=seed)
     analysis.write_sweep_csv(path("sweep.csv"), rows, config=cfg_dict)
+    _warn_failed_rows(rows)
     summary["tile_estimate"] = {"name": rows[0].name, "l_m": rows[0].tile_size_m, "D_m": rows[0].max_error_m}
     summary["sweep"] = [
         {"name": r.name, "lat": r.lat, "l_m": r.tile_size_m, "D_m": r.max_error_m, "shape": r.shape}

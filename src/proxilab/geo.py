@@ -50,6 +50,22 @@ class GeoPoint:
         object.__setattr__(self, "lon", _wrap_lon(self.lon))
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _point(lat: float, lon: float) -> GeoPoint:
+    """GeoPoint(lat, lon) for a latitude already in [-90, 90] and a
+    longitude already wrapped, without the public constructor's check and
+    wrap: the caller applies the wrap itself, so the bits are the same.
+    The fields are set as the dataclass __init__ sets them; writing
+    through `__dict__` instead would make every later read of them slower."""
+    p = _new_object(GeoPoint)
+    _set_field(p, "lat", lat)
+    _set_field(p, "lon", lon)
+    return p
+
+
 @dataclass(frozen=True)
 class MercatorPoint:
     """Web-Mercator coordinates in degree units; x coincides with longitude."""
@@ -137,7 +153,7 @@ def destination(p: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoint:
         sin(theta) * sin_delta * cos_phi1,
         cos_delta - sin_phi1 * sin_phi2,
     )
-    return GeoPoint(lat=asin(sin_phi2) * DEGREES_PER_RADIAN, lon=lam2 * DEGREES_PER_RADIAN)
+    return _point(asin(sin_phi2) * DEGREES_PER_RADIAN, (lam2 * DEGREES_PER_RADIAN + 180.0) % 360.0 - 180.0)
 
 
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
@@ -150,7 +166,7 @@ def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
     y = (b.lat - a.lat) * METERS_PER_DEGREE
     if hypot(x, y) > LOCAL_FRAME_RANGE_M:
         raise LocalFrameRangeError(f"point {b} beyond {LOCAL_FRAME_RANGE_M} m of anchor")
-    return GeoPoint(
-        lat=a.lat + y / 2.0 / METERS_PER_DEGREE,
-        lon=a.lon + x / 2.0 / (METERS_PER_DEGREE * cos_lat),
+    return _point(
+        a.lat + y / 2.0 / METERS_PER_DEGREE,
+        (a.lon + x / 2.0 / (METERS_PER_DEGREE * cos_lat) + 180.0) % 360.0 - 180.0,
     )

@@ -28,6 +28,7 @@ from .geo import (
     GeoPoint,
     MercatorPoint,
     ProjectionDomainError,
+    _point,
     distance,
     from_mercator,
     to_mercator,
@@ -157,7 +158,9 @@ class Quantizer:
             i = floor(p.lon / g)
             j = floor(y / g)
         node_lat = (2.0 * atan(exp(j * g * RADIANS_PER_DEGREE)) - math.pi / 2.0) * DEGREES_PER_RADIAN
-        return GeoPoint(lat=node_lat, lon=i * g)
+        # i * g reaches 180.0 just west of the antimeridian; the wrap takes
+        # it to -180.0, as GeoPoint's would.
+        return _point(node_lat, (i * g + 180.0) % 360.0 - 180.0)
 
     def cell_size(self, lat_deg: float) -> float:
         """Ground extent of one cell in meters, identical in both axes."""
@@ -266,25 +269,28 @@ class TargetRegistry:
     def near(self, center: GeoPoint, radius_m: float) -> list[TargetRecord]:
         """Every record in a block that the spherical cap of radius_m about
         center can reach, with one block of margin on each side: a superset
-        of the targets within radius_m, in no particular order."""
-        delta = radius_m / EARTH_RADIUS_M
-        span = delta * DEGREES_PER_RADIAN
-        row_lo = max(floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
-        row_hi = min(floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
-        # The window's columns run from col_lo for n_cols, modulo
-        # _BLOCK_COLS so they wrap at the antimeridian; a cap that reaches a
-        # pole, or spans every longitude, takes whole rows.
-        col_lo, n_cols = 0, _BLOCK_COLS
-        if abs(center.lat) + span < 90.0:
-            ratio = sin(delta) / cos(center.lat * RADIANS_PER_DEGREE)
-            if ratio < 1.0:
-                dlon = asin(ratio) * DEGREES_PER_RADIAN
-                lo = floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
-                hi = floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
-                if hi - lo + 1 < _BLOCK_COLS:
-                    col_lo, n_cols = lo % _BLOCK_COLS, hi - lo + 1
-        out: list[TargetRecord] = []
+        of the targets within radius_m, in no particular order. A registry
+        of one record returns it whatever the cap."""
         with self._lock:
+            if len(self._targets) == 1:
+                return list(self._targets.values())
+            delta = radius_m / EARTH_RADIUS_M
+            span = delta * DEGREES_PER_RADIAN
+            row_lo = max(floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
+            row_hi = min(floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
+            # The window's columns run from col_lo for n_cols, modulo
+            # _BLOCK_COLS so they wrap at the antimeridian; a cap that reaches
+            # a pole, or spans every longitude, takes whole rows.
+            col_lo, n_cols = 0, _BLOCK_COLS
+            if abs(center.lat) + span < 90.0:
+                ratio = sin(delta) / cos(center.lat * RADIANS_PER_DEGREE)
+                if ratio < 1.0:
+                    dlon = asin(ratio) * DEGREES_PER_RADIAN
+                    lo = floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
+                    hi = floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
+                    if hi - lo + 1 < _BLOCK_COLS:
+                        col_lo, n_cols = lo % _BLOCK_COLS, hi - lo + 1
+            out: list[TargetRecord] = []
             if (row_hi - row_lo + 1) * n_cols > len(self._blocks):
                 # Fewer occupied blocks than blocks in the window: test each.
                 for key, bucket in self._blocks.items():
@@ -463,11 +469,11 @@ class Service:
     def search(self, account_id: str, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:
         """Nearby listing for one query: [(target id, class meters)], sorted
         ascending by class then id, truncated to max_results."""
-        _check_lat(pos.lat)
+        # Snapping first rejects a polar query before it is admitted.
+        query_pt = self.quantizer.snap_point(pos)
         st, lock = self._account_entry(account_id)
         with lock:
             self._admit(st, pos, ts)
-        query_pt = self.quantizer.snap_point(pos)
         snapped = self._snapped
         out: list[tuple[str, int]] = []
         for rec in self.registry.near(query_pt, self._reach_m):

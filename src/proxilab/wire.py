@@ -9,6 +9,7 @@ server never consults its own.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import socket
 import socketserver
@@ -28,7 +29,13 @@ PROTOCOL_VERSION = 1
 DEFAULT_BIND = ("127.0.0.1", 7878)
 REQUEST_FIELDS = {"v", "type", "account", "lat", "lon", "ts"}
 _CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError, AreaRestrictedError)}
-ERROR_CODES = ("BAD_REQUEST", *_CODE_TO_ERROR)
+# BAD_REQUEST is the client's fault, INTERNAL the server's.
+ERROR_CODES = ("BAD_REQUEST", "INTERNAL", *_CODE_TO_ERROR)
+
+_log = logging.getLogger(__name__)
+# One encoder for every message: json.dumps with keyword arguments would
+# build a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 class DecodeError(ValueError):
@@ -37,7 +44,7 @@ class DecodeError(ValueError):
 
 def encode(msg: dict) -> bytes:
     """One message per line, deterministic byte layout."""
-    return (json.dumps(msg, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+    return (_ENCODER.encode(msg) + "\n").encode("utf-8")
 
 
 def decode(line: bytes | str) -> dict:
@@ -117,8 +124,10 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 resp = self._respond(service, raw)
             except Exception:
-                # A handler must never kill the connection loop on a bug.
-                resp = error_response("BAD_REQUEST")
+                # A bug must never kill the connection loop; the client gets
+                # INTERNAL and the log keeps the traceback.
+                _log.exception("internal error answering %r", raw)
+                resp = error_response("INTERNAL")
             try:
                 self.wfile.write(encode(resp))
             except (BrokenPipeError, ConnectionResetError):

@@ -258,6 +258,12 @@ class TestLatitudeSweep:
         assert rows[0].error is not None
         assert rows[0].tile_size_m is None
 
+    def test_programming_errors_propagate(self):
+        # Only the harness's own failures become a row's error; a bad
+        # argument type is a bug and must surface as one.
+        with pytest.raises(TypeError):
+            latitude_sweep(SWEEP_CITIES[:1], step="10")
+
 
 class TestReportsAndFiles:
     def test_build_report_fields(self):

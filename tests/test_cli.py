@@ -8,7 +8,7 @@ import socket
 
 import pytest
 
-from proxilab.analysis import DEFAULT_STEP_M
+from proxilab.analysis import DEFAULT_STEP_M, SWEEP_CITIES
 from proxilab.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -290,6 +290,12 @@ class TestFigures:
         assert main(["figures", "--runs", "10", "--step", "3000", "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tile_estimate"] == {"name": "Kourou", "l_m": None, "D_m": None}
+
+    def test_failed_sweep_rows_are_warned_about(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        assert main(["figures", "--runs", "25", "--step", "3000", "--out", str(out)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+        assert [line.split(":")[1].strip() for line in warnings] == [name for name, _, _ in SWEEP_CITIES]
 
 
 class TestFlagsReachConsumers:

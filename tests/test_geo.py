@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxilab.geo import (
     EARTH_RADIUS_M,
@@ -24,6 +24,7 @@ from proxilab.geo import (
     to_local,
     to_mercator,
 )
+from proxilab.service import Quantizer
 
 # closed-form arc length for 0.005 degrees on the equator
 ARC_0005_DEG = 0.005 * math.pi / 180.0 * EARTH_RADIUS_M
@@ -244,3 +245,47 @@ class TestMidpoint:
                 midpoint(a, b)
             return
         assert bits(midpoint(a, b)) == bits(from_local(LocalXY(xy.x / 2, xy.y / 2, a)))
+
+
+class TestTrustedPoints:
+    """destination, midpoint and snap_point build their points without the
+    public constructor; each point must equal, bit for bit, the GeoPoint
+    built from its own coordinates, so the check and wrap they skip would
+    have changed nothing."""
+
+    @staticmethod
+    def assert_canonical(p: GeoPoint) -> None:
+        assert bits(p) == bits(GeoPoint(p.lat, p.lon))
+
+    @settings(max_examples=500, deadline=None)
+    @given(lat=LATS, lon=LONS, bearing=st.floats(0.0, 360.0), dist=st.floats(0.0, 60_000.0))
+    @example(lat=0.0, lon=179.999, bearing=90.0, dist=500.0)
+    @example(lat=0.0, lon=-180.0, bearing=270.0, dist=500.0)
+    def test_destination(self, lat, lon, bearing, dist):
+        self.assert_canonical(destination(GeoPoint(lat, lon), bearing, dist))
+
+    @settings(max_examples=500, deadline=None)
+    @given(a_lat=LATS, a_lon=LONS, dlat=OFFSETS, dlon=OFFSETS)
+    @example(a_lat=10.0, a_lon=179.999, dlat=0.0, dlon=0.004)
+    def test_midpoint(self, a_lat, a_lon, dlat, dlon):
+        try:
+            m = midpoint(GeoPoint(a_lat, a_lon), GeoPoint(a_lat + dlat, a_lon + dlon))
+        except LocalFrameRangeError:
+            return
+        self.assert_canonical(m)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lat=LATS,
+        # Within half a cell west of the antimeridian, floor(lon / g + 0.5) * g
+        # is exactly 180.0 on each of these grids.
+        lon=st.one_of(LONS, st.floats(179.9975, 180.0, exclude_max=True)),
+        grid=st.sampled_from((0.005, 0.0125, 0.05, 0.5)),
+        mode=st.sampled_from(("nearest", "floor")),
+    )
+    @example(lat=10.0, lon=179.999, grid=0.005, mode="nearest")
+    def test_snap_point(self, lat, lon, grid, mode):
+        self.assert_canonical(Quantizer(grid, mode).snap_point(GeoPoint(lat, lon)))
+
+    def test_snap_point_at_the_antimeridian_node_is_west(self):
+        assert Quantizer().snap_point(GeoPoint(10.0, 179.999)).lon == -180.0

@@ -307,6 +307,15 @@ class TestAdmission:
         assert errors == []
         assert [svc.account(a).total_admitted for a in accounts] == [n_threads] * len(accounts)
 
+    def test_polar_query_rejected_before_admission(self):
+        svc = make_service([("t", GeoPoint(0, 0))])
+        svc.search("a", GeoPoint(0.0, 0.0), 0.0)
+        for lat in (85.06, -85.06):
+            with pytest.raises(ProjectionDomainError):
+                svc.search("a", GeoPoint(lat, 0.0), 10.0)
+        acct = svc.account("a")
+        assert (acct.total_admitted, acct.queries_today, acct.last_ts) == (1, 1, 0.0)
+
     def test_non_monotonic_timestamp_is_protocol_error(self):
         svc = make_service([("t", GeoPoint(0, 0))])
         svc.search("a", GeoPoint(0, 0), 100.0)
@@ -527,6 +536,14 @@ class TestIndexedSearch:
         assert registry.ids() == ["t"]
         assert registry.position("t") == GeoPoint(0.0, 0.0)
         assert Service(registry).search("a", GeoPoint(0.0, 0.0), 0.0) == [("t", 500)]
+
+    def test_one_record_registry_near_returns_it_beyond_the_reach(self):
+        # near() may return a superset; search's classify drops the record.
+        target = GeoPoint(40.0, -3.0)
+        svc = make_service([("t", target)])
+        q = destination(target, 90.0, 20_000.0)
+        assert [rec.id for rec in svc.registry.near(q, 13_000.0)] == ["t"]
+        assert svc.search("a", q, 0.0) == []
 
     def test_near_spans_the_antimeridian(self):
         registry = TargetRegistry()

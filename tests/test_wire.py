@@ -107,6 +107,24 @@ class TestServer:
             # connection still usable
             assert client.search(GeoPoint(0, 0), 0.0) == [("t", 500)]
 
+    def test_server_bug_gets_internal_and_connection_stays_open(self, served, monkeypatch, caplog):
+        (host, port), _ = served
+        real_search = Service.search
+        calls = []
+
+        def buggy_once(self, *args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ZeroDivisionError("injected")
+            return real_search(self, *args)
+
+        monkeypatch.setattr(Service, "search", buggy_once)
+        with TcpClient(host, port, "a") as client:
+            resp = client.request(make_search("a", GeoPoint(0, 0), 0.0))
+            assert resp["type"] == "error" and resp["code"] == "INTERNAL"
+            assert client.search(GeoPoint(0, 0), 1.0) == [("t", 500)]
+        assert any(r.exc_info and r.exc_info[0] is ZeroDivisionError for r in caplog.records)
+
     def test_non_monotonic_ts_maps_to_bad_request(self, served):
         (host, port), _ = served
         with TcpClient(host, port, "a") as client:
