@@ -372,6 +372,14 @@ GOLDEN_FIGURES = {
     "walk_report.json": "f0c4b55bde766fe30386af9e39fd212c746c622a298859ee41dff036c636420f",
     "walk_transitions.jsonl": "6acccdd97735c0258bfb8a29b4e7a10e1b8f84eabd53ee063fa8afc716fffe0b",
 }
+# sha256 of the transitions file that `attack --targets t.jsonl --target t
+# --seed N` writes for one target at 23 N, 51.35 E, keyed by N: pins how
+# --seed reaches the walker's random draws.
+GOLDEN_ATTACK_TARGET = {"id": "t", "lat": 23.0, "lon": 51.35}
+GOLDEN_ATTACK = {
+    0: "0cb3a6f2e737adfc75dcedc4d1ee1bb7f580b03f48fa90ce61e3d5596673735f",
+    3: "12f47950464422b01d90fcf76910c38bff8e09aa16dda2651f5ae07415aa26b6",
+}
 
 
 def _sha256(path) -> str:
@@ -388,3 +396,15 @@ class TestGoldenOutputs:
         out = tmp_path / "figs"
         assert main(["figures", "--runs", "10", "--seed", "0", "--out", str(out)]) == EXIT_OK
         assert {p.name: _sha256(p) for p in out.iterdir()} == GOLDEN_FIGURES
+
+    @pytest.mark.parametrize("seed", list(GOLDEN_ATTACK))
+    def test_attack_digest(self, tmp_path, seed):
+        targets = tmp_path / "t.jsonl"
+        targets.write_text(json.dumps(GOLDEN_ATTACK_TARGET) + "\n")
+        out = tmp_path / "out.jsonl"
+        code = main([
+            "attack", "--targets", str(targets), "--target", "t",
+            "--seed", str(seed), "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert _sha256(out) == GOLDEN_ATTACK[seed]
