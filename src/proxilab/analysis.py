@@ -41,6 +41,8 @@ from .service import (
 
 DEFAULT_STEP_M = 10.0  # target displacement per tile-size deployment
 TILE_SHIFTS = 4  # boundary shifts the tile-size scan waits for
+TILE_SCAN_SPAN_M = 4000.0  # farthest deployment of the tile-size scan
+ECDF_ALPHA = 0.05  # the ECDF band holds the true CDF with probability 1 - alpha
 SHAPE_MIN_POINTS = 20  # boundary points below which the shape is Unknown
 
 
@@ -243,16 +245,16 @@ def phasor(target_xy: tuple[float, float], centroid_xy: tuple[float, float]) -> 
 
 
 class Ecdf:
-    """Empirical CDF with a distribution-free confidence band."""
+    """Empirical CDF with a distribution-free (DKW) confidence band at
+    level `ECDF_ALPHA`."""
 
-    def __init__(self, samples, alpha: float = 0.05):
+    def __init__(self, samples):
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size < 1:
             raise TooFewSamplesError("need at least one sample")
         self.samples = arr
         self.n = int(arr.size)
-        self.alpha = alpha
-        self.band_half_width = math.sqrt(math.log(2.0 / alpha) / (2.0 * self.n))
+        self.band_half_width = math.sqrt(math.log(2.0 / ECDF_ALPHA) / (2.0 * self.n))
 
     def __call__(self, x):
         return np.searchsorted(self.samples, x, side="right") / self.n
@@ -267,8 +269,8 @@ class Ecdf:
         return out
 
 
-def ecdf(samples, alpha: float = 0.05) -> Ecdf:
-    return Ecdf(samples, alpha=alpha)
+def ecdf(samples) -> Ecdf:
+    return Ecdf(samples)
 
 
 def fit_uniform(samples) -> tuple[float, float]:
@@ -363,29 +365,22 @@ class SimulatorLab:
             offset += step
 
 
-def estimate_tile_size(
-    lab: SimulatorLab,
-    base: GeoPoint,
-    step: float = DEFAULT_STEP_M,
-    axis: str = "x",
-    max_span_m: float = 4000.0,
-) -> float:
+def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_STEP_M) -> float:
     """Tile size from boundary shifts under small target displacements.
 
-    The target is redeployed every `step` meters along the axis; the scan
-    records the offsets at which the measured class boundary jumps and
-    returns the mean gap between consecutive shifts. Shift offsets are
-    centered between the last unshifted and first shifted deployment, so the
-    estimate error is bounded by step / (TILE_SHIFTS - 1).
+    The target is redeployed every `step` meters east of base, up to
+    `TILE_SCAN_SPAN_M`; the scan records the offsets at which the measured
+    class boundary jumps and returns the mean gap between consecutive
+    shifts. Shift offsets are centered between the last unshifted and first
+    shifted deployment, so the estimate error is bounded by
+    step / (TILE_SHIFTS - 1).
     """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
     if step <= 0:
         raise ValueError("step must be positive")
     threshold = 5.0 * lab.cfg.accuracy  # real shifts are >= one tile, far above jitter
     shift_offsets: list[float] = []
     prev_boundary: float | None = None
-    for offset, boundary in lab.ladder(base, 90.0 if axis == "x" else 0.0, step, max_span_m):
+    for offset, boundary in lab.ladder(base, 90.0, step, TILE_SCAN_SPAN_M):
         if prev_boundary is not None and abs(boundary - prev_boundary) > threshold:
             shift_offsets.append(offset - step / 2.0)
             if len(shift_offsets) >= TILE_SHIFTS:
@@ -393,7 +388,7 @@ def estimate_tile_size(
         prev_boundary = boundary
     if len(shift_offsets) < 2:
         raise NoShiftObservedError(
-            f"only {len(shift_offsets)} boundary shift(s) within {max_span_m} m; widen the span"
+            f"only {len(shift_offsets)} boundary shift(s) within {TILE_SCAN_SPAN_M} m; shorten the step"
         )
     return (shift_offsets[-1] - shift_offsets[0]) / (len(shift_offsets) - 1)
 
@@ -414,9 +409,9 @@ def latitude_sweep(
     step: float = DEFAULT_STEP_M,
     grid_deg: float = DEFAULT_GRID_DEG,
     seed: int = 0,
-    with_shape: bool = True,
 ) -> list[SweepRow]:
-    """Tile size and localization error per location. A failure of the
+    """Tile size, localization error and region shape per location, the
+    shape from one `run_probe_deployment` at `seed`. A failure of the
     harness at one location (a `RuntimeError` from the tile scan or the
     walker, or a position outside the Mercator domain) is recorded in that
     row and the sweep continues; any other exception propagates."""
@@ -426,10 +421,8 @@ def latitude_sweep(
         try:
             tile = estimate_tile_size(SimulatorLab(grid_deg=grid_deg), pos, step=step)
             err = max_localization_error(tile)
-            shape = Shape.UNKNOWN
-            if with_shape:
-                tset, _ = run_probe_deployment(pos, seed, grid_deg)
-                shape = classify_shape(tset, anchor=pos)
+            tset, _ = run_probe_deployment(pos, seed, grid_deg)
+            shape = classify_shape(tset, anchor=pos)
             rows.append(SweepRow(name, lat, lon, tile, err, shape.value))
         except (RuntimeError, ProjectionDomainError) as exc:
             rows.append(SweepRow(name, lat, lon, None, None, Shape.UNKNOWN.value, str(exc)))

@@ -62,14 +62,13 @@ class ExperimentConfig:
             jump=self.jump,
             max_queries=self.max_queries,
             speed_limit=self.speed_limit,
-            seed=self.seed,
         )
 
 
 def _parse_bind(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected host:port with a port up to 65535, got {text!r}")
     return host, int(port)
 
 
@@ -162,6 +161,7 @@ def cmd_attack(args) -> int:
                 hint=hint,
                 cfg=config.probe_config(),
                 n_transitions=config.transitions,
+                rng=random.Random(config.seed),
             )
         except TargetNotFoundError as exc:
             print(f"error: target not found: {exc}", file=sys.stderr)

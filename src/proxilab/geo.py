@@ -47,6 +47,8 @@ class GeoPoint:
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
+        if not math.isfinite(self.lon):
+            raise ValueError(f"longitude {self.lon} is not finite")
         object.__setattr__(self, "lon", _wrap_lon(self.lon))
 
 
@@ -99,12 +101,17 @@ def distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h)))
 
 
+def check_lat(lat: float) -> None:
+    """Reject a latitude outside the Mercator domain."""
+    if abs(lat) >= MAX_MERCATOR_LAT_DEG:
+        raise ProjectionDomainError(
+            f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {lat}"
+        )
+
+
 def to_mercator(p: GeoPoint) -> MercatorPoint:
     """Project to Web-Mercator degree units. Valid for |lat| < 85.06 deg."""
-    if abs(p.lat) >= MAX_MERCATOR_LAT_DEG:
-        raise ProjectionDomainError(
-            f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {p.lat}"
-        )
+    check_lat(p.lat)
     y = log(tan(math.pi / 4.0 + p.lat * RADIANS_PER_DEGREE / 2.0)) * DEGREES_PER_RADIAN
     return MercatorPoint(x=p.lon, y=y)
 

@@ -96,7 +96,6 @@ class ProbeConfig:
     max_queries: int = 1000
     reset_distance: float = 3000.0
     speed_limit: float = DEFAULT_SPEED_LIMIT_MPS
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.accuracy <= 0:
@@ -140,7 +139,8 @@ class ProbeSession:
 
     An emitted transition is charged every query since its outward probe or
     inward walk began; every query no transition was charged for is
-    exploration.
+    exploration. The walker's random draws come from `rng`, `Random(0)`
+    when none is given.
     """
 
     def __init__(
@@ -154,17 +154,13 @@ class ProbeSession:
         self.client = client
         self.target = target
         self.cfg = cfg or ProbeConfig()
-        self.rng = rng if rng is not None else random.Random(self.cfg.seed)
+        self.rng = rng if rng is not None else random.Random(0)
         self.queries = 0
         self._charged = 0
         self._mark = 0
         self._pos: GeoPoint | None = None
         self._ts = start_ts
         self._step = "start"
-
-    @property
-    def clock(self) -> float:
-        return self._ts
 
     @property
     def exploration_queries(self) -> int:
@@ -373,6 +369,15 @@ def write_transitions(path: str, tset: TransitionSet, config: dict | None = None
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _read_point(value, where: str) -> GeoPoint:
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value)):
+        raise ValueError(f"{where}: expected a [lat, lon] pair of numbers, got {value!r}")
+    try:
+        return GeoPoint(value[0], value[1])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     """Inverse of write_transitions; returns the set and the meta record."""
     meta: dict = {}
@@ -393,8 +398,8 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             target = target or rec["target"]
             transitions.append(
                 Transition(
-                    inside=GeoPoint(rec["inside"][0], rec["inside"][1]),
-                    outside=GeoPoint(rec["outside"][0], rec["outside"][1]),
+                    inside=_read_point(rec["inside"], f"{path}:{line_no}: inside"),
+                    outside=_read_point(rec["outside"], f"{path}:{line_no}: outside"),
                     bearing=rec["bearing"],
                     direction=Direction(rec["dir"]),
                     queries_spent=rec["queries"],

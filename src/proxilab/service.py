@@ -22,13 +22,12 @@ from math import asin, atan, cos, exp, floor, log, sin, tan
 from .geo import (
     DEGREES_PER_RADIAN,
     EARTH_RADIUS_M,
-    MAX_MERCATOR_LAT_DEG,
     METERS_PER_DEGREE,
     RADIANS_PER_DEGREE,
     GeoPoint,
     MercatorPoint,
-    ProjectionDomainError,
     _point,
+    check_lat,
     distance,
     from_mercator,
     to_mercator,
@@ -98,13 +97,6 @@ class RegistryFormatError(ValueError):
         self.reason = reason
 
 
-def _check_lat(lat: float) -> None:
-    if abs(lat) >= MAX_MERCATOR_LAT_DEG:
-        raise ProjectionDomainError(
-            f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {lat}"
-        )
-
-
 @dataclass(frozen=True)
 class GridNode:
     """Integer cell indices on the Mercator grid."""
@@ -116,47 +108,34 @@ class GridNode:
 class Quantizer:
     """Rounds coordinates onto a Mercator-aligned tessellation.
 
-    mode="nearest" rounds each Mercator axis to the closest grid line with
-    ties toward +inf; mode="floor" is the alternative rounding convention
-    kept as a configuration variant. Snapping is idempotent: a node's own
-    geographic coordinate snaps back to the same node.
+    Each Mercator axis is rounded to the nearest grid line, ties toward
+    +inf. Snapping is idempotent: a node's own geographic coordinate snaps
+    back to the same node.
     """
 
-    def __init__(self, grid_deg: float = DEFAULT_GRID_DEG, mode: str = "nearest"):
+    def __init__(self, grid_deg: float = DEFAULT_GRID_DEG):
         if grid_deg <= 0:
             raise ValueError("grid_deg must be positive")
-        if mode not in ("nearest", "floor"):
-            raise ValueError(f"unknown rounding mode {mode!r}")
         self.grid_deg = grid_deg
-        self.mode = mode
-
-    def _index(self, v: float) -> int:
-        u = v / self.grid_deg
-        if self.mode == "nearest":
-            return math.floor(u + 0.5)
-        return math.floor(u)
 
     def snap(self, p: GeoPoint) -> GridNode:
         m = to_mercator(p)
-        return GridNode(i=self._index(m.x), j=self._index(m.y))
+        g = self.grid_deg
+        return GridNode(i=floor(m.x / g + 0.5), j=floor(m.y / g + 0.5))
 
     def node_point(self, node: GridNode) -> GeoPoint:
         return from_mercator(MercatorPoint(node.i * self.grid_deg, node.j * self.grid_deg))
 
     def snap_point(self, p: GeoPoint) -> GeoPoint:
         """`node_point(snap(p))` in one pass: the arithmetic of `to_mercator`,
-        `_index` and `from_mercator`, operation for operation, without the
+        `snap` and `from_mercator`, operation for operation, without the
         intermediate `MercatorPoint`s and `GridNode`."""
         lat = p.lat
-        _check_lat(lat)
+        check_lat(lat)
         g = self.grid_deg
         y = log(tan(math.pi / 4.0 + lat * RADIANS_PER_DEGREE / 2.0)) * DEGREES_PER_RADIAN
-        if self.mode == "nearest":
-            i = floor(p.lon / g + 0.5)
-            j = floor(y / g + 0.5)
-        else:
-            i = floor(p.lon / g)
-            j = floor(y / g)
+        i = floor(p.lon / g + 0.5)
+        j = floor(y / g + 0.5)
         node_lat = (2.0 * atan(exp(j * g * RADIANS_PER_DEGREE)) - math.pi / 2.0) * DEGREES_PER_RADIAN
         # i * g reaches 180.0 just west of the antimeridian; the wrap takes
         # it to -180.0, as GeoPoint's would.
@@ -164,7 +143,7 @@ class Quantizer:
 
     def cell_size(self, lat_deg: float) -> float:
         """Ground extent of one cell in meters, identical in both axes."""
-        _check_lat(lat_deg)
+        check_lat(lat_deg)
         return self.grid_deg * METERS_PER_DEGREE * math.cos(math.radians(lat_deg))
 
 
@@ -244,7 +223,7 @@ class TargetRegistry:
         self._lock = threading.Lock()
 
     def add(self, target_id: str, pos: GeoPoint, contact_of=()) -> None:
-        _check_lat(pos.lat)
+        check_lat(pos.lat)
         with self._lock:
             if target_id in self._targets:
                 raise ValueError(f"duplicate target id {target_id!r}")
@@ -253,7 +232,7 @@ class TargetRegistry:
             self._blocks.setdefault(_block_of(pos), {})[target_id] = rec
 
     def move(self, target_id: str, pos: GeoPoint) -> None:
-        _check_lat(pos.lat)
+        check_lat(pos.lat)
         with self._lock:
             old = self._targets[target_id]
             rec = TargetRecord(old.id, pos, old.contact_of)
@@ -397,8 +376,9 @@ class Service:
         self.admission = admission
         self._accounts: dict[str, tuple[AccountState, threading.Lock]] = {}
         self._guard = threading.Lock()
-        # In either rounding mode a target moves at most one cell diagonal
-        # when snapped, and a cell is never wider than grid_deg of equator.
+        # Snapping moves a target by at most half a cell diagonal, and a
+        # cell is never wider than grid_deg of equator; the reach allows a
+        # whole diagonal, the other half as margin.
         self._reach_m = (
             max(DISTANCE_CLASSES_M)
             + LISTING_MARGIN_M

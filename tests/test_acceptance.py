@@ -91,7 +91,7 @@ def distribution_study():
 @criterion("1 latitude sweep endpoints")
 def test_latitude_sweep_endpoints_and_monotonicity():
     t_start = time.monotonic()
-    rows = latitude_sweep(step=10.0, with_shape=False)
+    rows = latitude_sweep(step=10.0)
     elapsed = time.monotonic() - t_start
     by_name = {r.name: r for r in rows}
     assert by_name["Kourou"].max_error_m == pytest.approx(392.0, abs=15.0)

@@ -221,11 +221,6 @@ class TestTileSize:
         l_est = estimate_tile_size(lab, GeoPoint(0, 0), step=10.0)
         assert l_est == pytest.approx(EQ_CELL_M, abs=15.0)
 
-    def test_axis_y_matches_axis_x(self):
-        l_x = estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=10.0, axis="x")
-        l_y = estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=10.0, axis="y")
-        assert l_y == pytest.approx(l_x, abs=20.0)
-
     def test_low_latitude_city_with_coarse_100m_steps(self):
         base = GeoPoint(SWEEP_CITIES[0][1], SWEEP_CITIES[0][2])
         l_est = estimate_tile_size(SimulatorLab(), base, step=100.0)
@@ -237,16 +232,12 @@ class TestTileSize:
 
     def test_no_shift_when_span_too_short(self):
         with pytest.raises(NoShiftObservedError):
-            estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=10.0, max_span_m=300.0)
-
-    def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), axis="z")
+            estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=3000.0)
 
 
 class TestLatitudeSweep:
     def test_single_location_row(self):
-        rows = latitude_sweep([("Doha", 25.26174, 51.359269)], step=10.0, with_shape=False)
+        rows = latitude_sweep([("Doha", 25.26174, 51.359269)], step=10.0)
         assert len(rows) == 1
         row = rows[0]
         assert row.error is None
@@ -254,7 +245,7 @@ class TestLatitudeSweep:
         assert row.max_error_m == pytest.approx(356.0, abs=15.0)
 
     def test_failures_recorded_not_raised(self):
-        rows = latitude_sweep([("polar", 89.0, 0.0)], step=10.0, with_shape=False)
+        rows = latitude_sweep([("polar", 89.0, 0.0)], step=10.0)
         assert rows[0].error is not None
         assert rows[0].tile_size_m is None
 
@@ -287,7 +278,7 @@ class TestReportsAndFiles:
         assert payload["report"]["rect"]["x_M"] > payload["report"]["rect"]["x_m"]
 
     def test_sweep_csv_schema(self, tmp_path):
-        rows = latitude_sweep([("Doha", 25.26174, 51.359269)], step=10.0, with_shape=False)
+        rows = latitude_sweep([("Doha", 25.26174, 51.359269)], step=10.0)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(str(path), rows, config={"step": 10.0})
         lines = path.read_text().splitlines()

@@ -238,6 +238,64 @@ class TestServe:
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def _file(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _transitions_with_inside(tmp_path, inside) -> str:
+    rec = {"target": "alice", "inside": inside, "outside": [0.0, 0.0], "bearing": 0.0, "dir": "OUT", "queries": 1}
+    return _file(tmp_path / "t.jsonl", '{"type": "meta", "target": "alice"}\n' + json.dumps(rec) + "\n")
+
+
+# Each case builds argv from (tmp_path, registry_file) and names a fragment
+# its one error line must hold.
+BAD_INPUTS = [
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", reg, "--target", "alice", "--hint", "0,inf",
+                          "--out", str(tmp / "t.jsonl")],
+        "--hint", id="non-finite-hint-lon",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "inf.jsonl", '{"id": "alice", "lat": 0, "lon": Infinity}\n'),
+                          "--target", "alice", "--out", str(tmp / "t.jsonl")],
+        "inf.jsonl:1: longitude inf is not finite", id="non-finite-registry-lon",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["serve", "--targets", reg, "--bind", "127.0.0.1:99999"],
+        "--bind", id="port-above-65535",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_with_inside(tmp, 5),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:2:", id="scalar-transition-point",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_with_inside(tmp, ["a", "b"]),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:2:", id="non-numeric-transition-point",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_with_inside(tmp, [95.0, 0.0]),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:2: inside: latitude 95.0", id="out-of-range-transition-lat",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", BAD_INPUTS)
+def test_bad_input_exits_with_one_error_line(tmp_path, registry_file, argv, fragment, capsys):
+    # Any exception other than argparse's SystemExit fails the test, so no
+    # case can end in a traceback.
+    try:
+        code = main(argv(tmp_path, registry_file))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and fragment in errors[0]
+
+
 class TestSweep:
     def test_two_city_sweep_csv(self, tmp_path):
         cities = tmp_path / "cities.jsonl"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxilab import service
-from proxilab.geo import GeoPoint, ProjectionDomainError, destination, distance
+from proxilab.geo import GeoPoint, MercatorPoint, ProjectionDomainError, destination, distance, from_mercator
 from proxilab.service import (
     DEFAULT_CLASS_TABLE,
     DISTANCE_CLASSES_M,
@@ -74,20 +74,12 @@ class TestQuantizer:
             node = q.snap(p)
             assert (node.i, node.j) == oracle_node(p.lat, p.lon)
 
-    def test_floor_mode_variant(self):
-        q = Quantizer(mode="floor")
-        assert q.snap(GeoPoint(0.0049, 0.0049)) == GridNode(0, 0)
-        assert q.snap(GeoPoint(0.0051, 0.0)) == GridNode(0, 1)
-        node = q.snap(GeoPoint(33.3333, 44.4444))
-        assert q.snap(q.node_point(node)) == node
-
     def test_domain_error(self):
         with pytest.raises(ProjectionDomainError):
             Quantizer().snap(GeoPoint(85.1, 0.0))
 
-    @pytest.mark.parametrize("mode", ["nearest", "floor"])
-    def test_snap_point_domain_error_at_the_mercator_limit(self, mode):
-        q = Quantizer(mode=mode)
+    def test_snap_point_domain_error_at_the_mercator_limit(self):
+        q = Quantizer()
         for lat in (85.06, -85.06, 89.0):
             with pytest.raises(ProjectionDomainError):
                 q.snap_point(GeoPoint(lat, 0.0))
@@ -98,10 +90,9 @@ class TestQuantizer:
         lat=st.floats(-85.0, 85.0),
         lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
         grid=st.sampled_from((0.005, 0.0125, 0.05)),
-        mode=st.sampled_from(("nearest", "floor")),
     )
-    def test_snap_point_is_bit_identical_to_node_point_of_snap(self, lat, lon, grid, mode):
-        q = Quantizer(grid, mode)
+    def test_snap_point_is_bit_identical_to_node_point_of_snap(self, lat, lon, grid):
+        q = Quantizer(grid)
         p = GeoPoint(lat, lon)
         got, want = q.snap_point(p), q.node_point(q.snap(p))
         assert (got.lat.hex(), got.lon.hex()) == (want.lat.hex(), want.lon.hex())
@@ -466,12 +457,11 @@ class TestIndexedSearch:
         spread_m=st.sampled_from([2_000.0, 14_000.0, 30_000.0]),
         ring=st.booleans(),
         grid_deg=st.sampled_from([0.005, 0.0125, 0.05]),
-        mode=st.sampled_from(["nearest", "floor"]),
         max_results=st.sampled_from([1, 5, 100]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_brute_force_scan(
-        self, lat_band, lon_band, n_targets, spread_m, ring, grid_deg, mode, max_results, seed
+        self, lat_band, lon_band, n_targets, spread_m, ring, grid_deg, max_results, seed
     ):
         # ring=True puts the targets 11-16 km out and the queries near the
         # center, so many targets sit at the 12.5 km listing cut-off.
@@ -490,7 +480,7 @@ class TestIndexedSearch:
             registry.add(f"t{k:03d}", around(*target_span), contacts)
         svc = Service(
             registry,
-            Quantizer(grid_deg, mode=mode),
+            Quantizer(grid_deg),
             max_results=max_results,
             speed_limit_mps=math.inf,
         )
@@ -564,14 +554,17 @@ class TestIndexedSearch:
         assert sorted(ids) == ["across", "south"]
 
     def test_reach_covers_the_snap_displacement(self):
-        # On a 0.05 deg floor grid a target just south of node row 3 snaps to
-        # row 2, 11.1 km from the querier at node (0, 0), though it lies
-        # 16.7 km away.
-        q = Quantizer(0.05, mode="floor")
-        target = destination(q.node_point(GridNode(0, 3)), 180.0, 1.0)
-        assert q.snap(target) == GridNode(0, 2)
-        svc = make_service([("t", target)], quantizer=q)
-        assert svc.search("a", GeoPoint(0.001, 0.001), 0.0) == [("t", 11_000)]
+        # On a 0.1 deg grid a target 1 m south of the edge between node rows
+        # 1 and 2 snaps to row 1, 11.1 km from the querier at node (0, 0),
+        # though it lies 16.7 km away. The far record makes `near` search its
+        # window of blocks instead of returning a lone record.
+        q = Quantizer(0.1)
+        target = destination(from_mercator(MercatorPoint(0.0, 0.15)), 180.0, 1.0)
+        assert q.snap(target) == GridNode(0, 1)
+        querier = GeoPoint(0.001, 0.001)
+        assert distance(querier, target) > 16_500.0
+        svc = make_service([("t", target), ("far", GeoPoint(40.0, -3.0))], quantizer=q)
+        assert svc.search("a", querier, 0.0) == [("t", 11_000)]
 
     def test_moved_target_never_listed_from_old_position(self):
         svc = make_service([("t", GeoPoint(40.0, -3.0))])
