@@ -256,9 +256,6 @@ class Ecdf:
         self.n = int(arr.size)
         self.band_half_width = math.sqrt(math.log(2.0 / ECDF_ALPHA) / (2.0 * self.n))
 
-    def __call__(self, x):
-        return np.searchsorted(self.samples, x, side="right") / self.n
-
     def rows(self) -> list[tuple[float, float, float, float]]:
         """(value, F, lo, hi) per sample point, band clipped to [0, 1]."""
         eps = self.band_half_width
@@ -342,50 +339,97 @@ class SimulatorLab:
         self._client = LocalClient(Service(self._registry, Quantizer(grid_deg)), "surveyor")
         self._day = 0
 
+    def boundary(self, base: GeoPoint, bearing: float, offset: float) -> float:
+        """Deploy the target `offset` meters from base along the bearing, on
+        a fresh virtual day, and return the signed distance from base, along
+        the bearing, of the nearest class boundary beyond it. Every
+        deployment of the lab goes through here, and its result depends on
+        nothing but the arguments."""
+        pos = destination(base, bearing, offset)
+        self._registry.move(self.target_id, pos)
+        self._day += 1
+        sess = ProbeSession(self._client, self.target_id, self.cfg, start_ts=self._day * SECONDS_PER_DAY)
+        if sess.query_class(pos) != INNER_CLASS_M:
+            raise RuntimeError("deployed position does not report the inner class")
+        inside, outside = sess.probe_outward(pos, pos, bearing)
+        t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
+        xy = to_local(base, t.midpoint())
+        theta = math.radians(bearing)
+        return xy.x * math.sin(theta) + xy.y * math.cos(theta)
+
     def ladder(self, base: GeoPoint, bearing: float, step: float, end: float):
         """Deploy the target every `step` meters from base along the bearing,
-        up to `end` meters, and yield (offset, boundary): the signed distance
-        from base, along the bearing, of the nearest class boundary beyond
-        the deployed target."""
-        theta = math.radians(bearing)
+        up to `end` meters, and yield (offset, boundary) per rung."""
         offset = 0.0
         while offset <= end:
-            pos = destination(base, bearing, offset)
-            self._registry.move(self.target_id, pos)
-            self._day += 1
-            sess = ProbeSession(
-                self._client, self.target_id, self.cfg, start_ts=self._day * SECONDS_PER_DAY
-            )
-            if sess.query_class(pos) != INNER_CLASS_M:
-                raise RuntimeError("deployed position does not report the inner class")
-            inside, outside = sess.probe_outward(pos, pos, bearing)
-            t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
-            xy = to_local(base, t.midpoint())
-            yield offset, xy.x * math.sin(theta) + xy.y * math.cos(theta)
+            yield offset, self.boundary(base, bearing, offset)
             offset += step
+
+
+def _next_shift(
+    lab: SimulatorLab, base: GeoPoint, offsets: list[float], lo: int, ref: float, threshold: float
+) -> tuple[int, float] | None:
+    """First rung after `lo` whose eastward boundary lies more than
+    `threshold` from `ref`, with that boundary; None when no rung does.
+
+    Gallops with strides of 1, 2, 4, ... rungs until the boundary has
+    moved, then bisects between the last unmoved and the first moved rung.
+    """
+    last = len(offsets) - 1
+    ok, stride = lo, 1
+    while True:
+        if ok == last:
+            return None
+        k = min(ok + stride, last)
+        b = lab.boundary(base, 90.0, offsets[k])
+        if abs(b - ref) > threshold:
+            break
+        ok, stride = k, 2 * stride
+    while k - ok > 1:
+        mid = (ok + k) // 2
+        b_mid = lab.boundary(base, 90.0, offsets[mid])
+        if abs(b_mid - ref) > threshold:
+            k, b = mid, b_mid
+        else:
+            ok = mid
+    return k, b
 
 
 def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_STEP_M) -> float:
     """Tile size from boundary shifts under small target displacements.
 
-    The target is redeployed every `step` meters east of base, up to
-    `TILE_SCAN_SPAN_M`; the scan records the offsets at which the measured
-    class boundary jumps and returns the mean gap between consecutive
-    shifts. Shift offsets are centered between the last unshifted and first
-    shifted deployment, so the estimate error is bounded by
-    step / (TILE_SHIFTS - 1).
+    The rungs are the deployments `SimulatorLab.ladder` makes every `step`
+    meters east of base, up to `TILE_SCAN_SPAN_M`. A shift is a rung whose
+    class boundary lies more than five times the probe accuracy from the
+    previous rung's. Wherever a cell is well above that threshold (below
+    about 84.2 degrees) the boundary stays put between shifts, so rather
+    than deploy every rung the scan gallops from the last shift with
+    strides of 1, 2, 4, ... rungs until the boundary has moved, then
+    bisects for the first moved rung. Each deployment goes through
+    `SimulatorLab.boundary` and depends only on its offset, so the scan
+    finds the shifts the full ladder finds, from about a third of the
+    deployments. It stops after `TILE_SHIFTS` shifts and returns the mean
+    gap between consecutive shifts. Shift offsets are centered between the
+    last unshifted and first shifted rung, so the estimate error is bounded
+    by step / (TILE_SHIFTS - 1).
     """
     if step <= 0:
         raise ValueError("step must be positive")
     threshold = 5.0 * lab.cfg.accuracy  # real shifts are >= one tile, far above jitter
+    # Accumulated as in `ladder`, so every rung offset has the same bits.
+    offsets: list[float] = []
+    offset = 0.0
+    while offset <= TILE_SCAN_SPAN_M:
+        offsets.append(offset)
+        offset += step
     shift_offsets: list[float] = []
-    prev_boundary: float | None = None
-    for offset, boundary in lab.ladder(base, 90.0, step, TILE_SCAN_SPAN_M):
-        if prev_boundary is not None and abs(boundary - prev_boundary) > threshold:
-            shift_offsets.append(offset - step / 2.0)
-            if len(shift_offsets) >= TILE_SHIFTS:
-                break
-        prev_boundary = boundary
+    lo, ref = 0, lab.boundary(base, 90.0, 0.0)
+    while len(shift_offsets) < TILE_SHIFTS:
+        found = _next_shift(lab, base, offsets, lo, ref, threshold)
+        if found is None:
+            break
+        lo, ref = found
+        shift_offsets.append(offsets[lo] - step / 2.0)
     if len(shift_offsets) < 2:
         raise NoShiftObservedError(
             f"only {len(shift_offsets)} boundary shift(s) within {TILE_SCAN_SPAN_M} m; shorten the step"

@@ -188,7 +188,7 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"error: cannot read transitions: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: bad transitions file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

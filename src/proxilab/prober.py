@@ -85,9 +85,6 @@ class Transition:
     def midpoint(self) -> GeoPoint:
         return midpoint(self.inside, self.outside)
 
-    def width_m(self) -> float:
-        return distance(self.inside, self.outside)
-
 
 @dataclass
 class ProbeConfig:
@@ -120,9 +117,6 @@ class TransitionSet:
 
     def __len__(self) -> int:
         return len(self.transitions)
-
-    def spent_queries(self) -> int:
-        return sum(t.queries_spent for t in self.transitions)
 
 
 def pace(prev_pos: GeoPoint, next_pos: GeoPoint, prev_ts: float, speed: float = PACE_SPEED_MPS) -> float:
@@ -378,8 +372,16 @@ def _read_point(value, where: str) -> GeoPoint:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _field(rec: dict, key: str, where: str):
+    try:
+        return rec[key]
+    except KeyError:
+        raise ValueError(f"{where}: missing field {key!r}") from None
+
+
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
-    """Inverse of write_transitions; returns the set and the meta record."""
+    """Inverse of write_transitions; returns the set and the meta record.
+    A malformed line raises a ValueError that names `path:line`."""
     meta: dict = {}
     transitions: list[Transition] = []
     target = None
@@ -388,23 +390,32 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            where = f"{path}:{line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
             if not isinstance(rec, dict):
-                raise ValueError(f"{path}:{line_no}: expected a JSON object, got {type(rec).__name__}")
+                raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
             if rec.get("type") == "meta":
                 meta = rec
                 target = rec.get("target")
                 continue
-            target = target or rec["target"]
-            transitions.append(
-                Transition(
-                    inside=_read_point(rec["inside"], f"{path}:{line_no}: inside"),
-                    outside=_read_point(rec["outside"], f"{path}:{line_no}: outside"),
-                    bearing=rec["bearing"],
-                    direction=Direction(rec["dir"]),
-                    queries_spent=rec["queries"],
-                )
-            )
+            target = target or _field(rec, "target", where)
+            inside = _read_point(_field(rec, "inside", where), f"{where}: inside")
+            outside = _read_point(_field(rec, "outside", where), f"{where}: outside")
+            bearing = _field(rec, "bearing", where)
+            if isinstance(bearing, bool) or not isinstance(bearing, (int, float)) or not math.isfinite(bearing):
+                raise ValueError(f"{where}: bearing must be a finite number, got {bearing!r}")
+            dir_value = _field(rec, "dir", where)
+            try:
+                direction = Direction(dir_value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: dir: {exc}") from exc
+            queries = _field(rec, "queries", where)
+            if isinstance(queries, bool) or not isinstance(queries, int):
+                raise ValueError(f"{where}: queries must be an int, got {queries!r}")
+            transitions.append(Transition(inside, outside, bearing, direction, queries))
     if target is None:
         raise ValueError(f"{path}: no transition records")
     return (

@@ -294,9 +294,6 @@ class TargetRegistry:
     def __contains__(self, target_id: str) -> bool:
         return target_id in self._targets
 
-    def ids(self) -> list[str]:
-        return sorted(self._targets)
-
     def iter_sorted(self):
         for tid in sorted(self._targets):
             yield self._targets[tid]

@@ -72,7 +72,8 @@ def decode_request(line: bytes | str) -> dict:
     msg = decode(line)
     if set(msg) != REQUEST_FIELDS:
         raise DecodeError(f"request fields must be exactly {sorted(REQUEST_FIELDS)}")
-    if msg["v"] != PROTOCOL_VERSION:
+    # JSON true and 1.0 compare equal to 1 in Python; only the int is version 1.
+    if type(msg["v"]) is not int or msg["v"] != PROTOCOL_VERSION:
         raise DecodeError(f"unsupported protocol version {msg['v']!r}")
     if msg["type"] != "search":
         raise DecodeError(f"unsupported request type {msg['type']!r}")

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from proxilab.geo import GeoPoint, destination
+from proxilab.geo import GeoPoint, destination, distance
 from proxilab.prober import collect_transitions, transition_record
 from proxilab.service import (
     FloodWaitError,
@@ -154,7 +154,7 @@ def test_every_transition_straddles_analytic_boundary(midlat_runs):
     checked = 0
     for target, tset, _ in midlat_runs:
         for t in tset.transitions:
-            assert t.width_m() <= 10.0 + 1e-9
+            assert distance(t.inside, t.outside) <= 10.0 + 1e-9
             assert oracle_class(t.inside, target) == 500
             assert oracle_class(t.outside, target) == 1000
             checked += 1

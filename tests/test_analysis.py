@@ -7,10 +7,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxilab.geo import GeoPoint, LocalXY, from_local
 from proxilab.prober import Direction, Transition, TransitionSet
+from proxilab.service import LocalClient
 from proxilab.analysis import (
     InsufficientCoverageError,
     NoShiftObservedError,
@@ -19,6 +22,8 @@ from proxilab.analysis import (
     Shape,
     SimulatorLab,
     SWEEP_CITIES,
+    TILE_SCAN_SPAN_M,
+    TILE_SHIFTS,
     TooFewSamplesError,
     bounding_box,
     build_report,
@@ -134,10 +139,14 @@ class TestEdgeOffsets:
 class TestEcdf:
     def test_step_values(self):
         f = ecdf([1, 2, 3, 4])
-        assert f(2.5) == 0.5
-        assert f(0.5) == 0.0
-        assert f(1.0) == 0.25  # F(min) = 1/n
-        assert f(4.0) == 1.0
+
+        def cdf(x):
+            return np.searchsorted(f.samples, x, side="right") / f.n
+
+        assert cdf(2.5) == 0.5
+        assert cdf(0.5) == 0.0
+        assert cdf(1.0) == 0.25  # F(min) = 1/n
+        assert cdf(4.0) == 1.0
 
     def test_dkw_band_at_300_samples(self):
         f = ecdf(list(range(300)))
@@ -233,6 +242,54 @@ class TestTileSize:
     def test_no_shift_when_span_too_short(self):
         with pytest.raises(NoShiftObservedError):
             estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=3000.0)
+
+    # Two thirds of the longitudes lie within a degree of the antimeridian.
+    # Above about 84.2 deg the cell is too close to
+    # the shift threshold for the boundary to stay put between shifts, and
+    # the two scans may differ there.
+    @settings(max_examples=10, deadline=None)
+    @given(
+        lat=st.floats(-80.0, 80.0),
+        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.0, 180.0), st.floats(-180.0, -179.0)),
+        step=st.floats(2.0, 40.0),
+    )
+    def test_gallop_equals_full_ladder(self, lat, lon, step):
+        base = GeoPoint(lat, lon)
+        assert estimate_tile_size(SimulatorLab(), base, step=step).hex() == _ladder_tile_size(base, step).hex()
+
+    def test_sweep_cities_at_step_10_query_count(self, monkeypatch):
+        # 1,304 deployments and 17,008 queries when every rung is deployed.
+        counts = {"deployments": 0, "queries": 0}
+
+        def counting(method, key):
+            def wrapper(*args):
+                result = method(*args)
+                counts[key] += 1
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(SimulatorLab, "boundary", counting(SimulatorLab.boundary, "deployments"))
+        monkeypatch.setattr(LocalClient, "search", counting(LocalClient.search, "queries"))
+        for _, lat, lon in SWEEP_CITIES:
+            estimate_tile_size(SimulatorLab(), GeoPoint(lat, lon), step=10.0)
+        assert counts == {"deployments": 388, "queries": 5205}
+
+
+def _ladder_tile_size(base: GeoPoint, step: float) -> float:
+    """Reference scan: deploy every rung of the ladder in order and take a
+    shift wherever the boundary moves from the previous rung's."""
+    lab = SimulatorLab()
+    threshold = 5.0 * lab.cfg.accuracy
+    shift_offsets: list[float] = []
+    prev = None
+    for offset, boundary in lab.ladder(base, 90.0, step, TILE_SCAN_SPAN_M):
+        if prev is not None and abs(boundary - prev) > threshold:
+            shift_offsets.append(offset - step / 2.0)
+            if len(shift_offsets) >= TILE_SHIFTS:
+                break
+        prev = boundary
+    return (shift_offsets[-1] - shift_offsets[0]) / (len(shift_offsets) - 1)
 
 
 class TestLatitudeSweep:

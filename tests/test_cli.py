@@ -243,9 +243,16 @@ def _file(path, text: str) -> str:
     return str(path)
 
 
+_RECORD = {"target": "alice", "inside": [0.0, 0.0], "outside": [0.0, 0.0], "bearing": 0.0, "dir": "OUT", "queries": 1}
+
+
+def _transitions_file(tmp_path, line: str) -> str:
+    """A meta record, then `line` as line 2."""
+    return _file(tmp_path / "t.jsonl", '{"type": "meta", "target": "alice"}\n' + line + "\n")
+
+
 def _transitions_with_inside(tmp_path, inside) -> str:
-    rec = {"target": "alice", "inside": inside, "outside": [0.0, 0.0], "bearing": 0.0, "dir": "OUT", "queries": 1}
-    return _file(tmp_path / "t.jsonl", '{"type": "meta", "target": "alice"}\n' + json.dumps(rec) + "\n")
+    return _transitions_file(tmp_path, json.dumps({**_RECORD, "inside": inside}))
 
 
 # Each case builds argv from (tmp_path, registry_file) and names a fragment
@@ -294,6 +301,22 @@ def test_bad_input_exits_with_one_error_line(tmp_path, registry_file, argv, frag
     assert code == EXIT_CONFIG
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and fragment in errors[0]
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param('{"target": "alice", "inside": [0.0, 0.0],', id="invalid-json"),
+    pytest.param(json.dumps({k: v for k, v in _RECORD.items() if k != "bearing"}), id="missing-field"),
+    pytest.param(json.dumps({**_RECORD, "dir": "SIDEWAYS"}), id="unknown-dir"),
+    pytest.param(json.dumps({**_RECORD, "bearing": "north"}), id="non-number-bearing"),
+    pytest.param(json.dumps({**_RECORD, "queries": 1.5}), id="non-int-queries"),
+    pytest.param(json.dumps({**_RECORD, "queries": True}), id="bool-queries"),
+])
+def test_malformed_transition_record_names_path_and_line(tmp_path, registry_file, line, capsys):
+    tfile = _transitions_file(tmp_path, line)
+    code = main(["analyze", "--transitions", tfile, "--targets", registry_file, "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_CONFIG
+    errors = [msg for msg in capsys.readouterr().err.splitlines() if "error:" in msg]
+    assert len(errors) == 1 and f"{tfile}:2:" in errors[0]
 
 
 class TestSweep:

@@ -214,7 +214,7 @@ class TestBisect:
         sess = ProbeSession(client, "t")
         p = destination(target, 90.0, 820.0)
         t = sess.bisect_boundary(p, p, direction=Direction.OUT, bearing=90.0)
-        assert t.width_m() == 0.0
+        assert distance(t.inside, t.outside) == 0.0
         assert sess.queries == 0
 
     def test_width_and_query_bound(self):
@@ -224,7 +224,7 @@ class TestBisect:
         inside = destination(target, 90.0, 800.0)
         outside = destination(target, 90.0, 900.0)
         t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=90.0)
-        assert t.width_m() <= 10.0
+        assert distance(t.inside, t.outside) <= 10.0
         assert sess.queries <= 5
         assert t.queries_spent == sess.queries
 
@@ -269,7 +269,7 @@ class TestCollect:
 
     def test_query_accounting_matches_service_ledger(self, midlat_runs):
         for _, tset, service in midlat_runs[:25]:
-            assert tset.spent_queries() + tset.exploration_queries == tset.total_queries
+            assert sum(t.queries_spent for t in tset.transitions) + tset.exploration_queries == tset.total_queries
             assert service.account("finder").total_admitted == tset.total_queries
 
     # Budgets of 1 to 80 queries run out in every phase; a 300 m reset
@@ -284,7 +284,7 @@ class TestCollect:
         target = GeoPoint(40.0, -3.0)
         client, service = make_setup(target)
         tset = collect_transitions(client, "t", hint=target, cfg=cfg, rng=random.Random(0))
-        assert tset.spent_queries() + tset.exploration_queries == tset.total_queries
+        assert sum(t.queries_spent for t in tset.transitions) + tset.exploration_queries == tset.total_queries
         assert tset.total_queries == service.account("finder").total_admitted
 
     def test_no_default_run_is_ever_banned(self, midlat_runs):
@@ -294,7 +294,7 @@ class TestCollect:
     def test_every_transition_straddles_oracle_boundary(self, midlat_runs):
         for target, tset, _ in midlat_runs[:25]:
             for t in tset.transitions:
-                assert t.width_m() <= 10.0
+                assert distance(t.inside, t.outside) <= 10.0
                 assert oracle_class(t.inside, target) == 500
                 assert oracle_class(t.outside, target) == 1000
 

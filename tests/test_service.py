@@ -523,7 +523,7 @@ class TestIndexedSearch:
             registry.add("polar", GeoPoint(86.0, 0.0))
         with pytest.raises(ProjectionDomainError):
             registry.move("t", GeoPoint(-85.06, 0.0))
-        assert registry.ids() == ["t"]
+        assert [r.id for r in registry.iter_sorted()] == ["t"]
         assert registry.position("t") == GeoPoint(0.0, 0.0)
         assert Service(registry).search("a", GeoPoint(0.0, 0.0), 0.0) == [("t", 500)]
 
@@ -614,7 +614,7 @@ class TestIndexedSearch:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         recs = registry.near(center, 20_000.0)
-        assert sorted(rec.id for rec in recs) == registry.ids()
+        assert sorted(rec.id for rec in recs) == [r.id for r in registry.iter_sorted()]
         assert all(registry.position(rec.id) == rec.pos for rec in recs)
         assert svc.search("final", center, 1e6) == brute_force_search(svc, "final", center)
 
@@ -628,7 +628,7 @@ class TestRegistryFile:
             '{"id": "t2", "lat": 0.0, "lon": 0.0, "contact_of": ["a"]}\n'
         )
         reg = TargetRegistry.from_jsonl(str(path))
-        assert reg.ids() == ["t1", "t2"]
+        assert [r.id for r in reg.iter_sorted()] == ["t1", "t2"]
         assert reg.position("t1").lat == 25.26174
         assert [rec.contact_of for rec in reg.iter_sorted()] == [frozenset(), frozenset({"a"})]
 

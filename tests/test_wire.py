@@ -125,6 +125,16 @@ class TestServer:
             assert client.search(GeoPoint(0, 0), 1.0) == [("t", 500)]
         assert any(r.exc_info and r.exc_info[0] is ZeroDivisionError for r in caplog.records)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_other_than_int_1_gets_bad_request(self, served, version):
+        msg = {**make_search("a", GeoPoint(0, 0), 0.0), "v": version}
+        with pytest.raises(DecodeError, match="unsupported protocol version"):
+            decode_request(encode(msg))
+        (host, port), _ = served
+        with TcpClient(host, port, "a") as client:
+            resp = client.request(msg)
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+
     def test_non_monotonic_ts_maps_to_bad_request(self, served):
         (host, port), _ = served
         with TcpClient(host, port, "a") as client:
