@@ -13,8 +13,10 @@ metadata used to express results in comparable coordinates.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +46,7 @@ TILE_SHIFTS = 4  # boundary shifts the tile-size scan waits for
 TILE_SCAN_SPAN_M = 4000.0  # farthest deployment of the tile-size scan
 ECDF_ALPHA = 0.05  # the ECDF band holds the true CDF with probability 1 - alpha
 SHAPE_MIN_POINTS = 20  # boundary points below which the shape is Unknown
+UNIFORM_FIT_MIN_SAMPLES = 20  # samples below which fit_uniform refuses to fit
 
 
 class InsufficientCoverageError(ValueError):
@@ -274,8 +277,8 @@ def fit_uniform(samples) -> tuple[float, float]:
     """Uniform fit by sample min/max, exactly as plotted in the field study
     (biased, but fidelity beats optimality here)."""
     arr = np.asarray(samples, dtype=float)
-    if arr.size < 20:
-        raise TooFewSamplesError(f"need >= 20 samples for a uniform fit, have {arr.size}")
+    if arr.size < UNIFORM_FIT_MIN_SAMPLES:
+        raise TooFewSamplesError(f"need >= {UNIFORM_FIT_MIN_SAMPLES} samples for a uniform fit, have {arr.size}")
     return float(arr.min()), float(arr.max())
 
 
@@ -490,6 +493,41 @@ def run_probe_deployment(
         rng=random.Random(seed),
     )
     return tset, service
+
+
+def _pooled_box(target: GeoPoint, seed: int, grid_deg: float) -> Rect | None:
+    """One pooled run: the box of a fresh deployment, None when its
+    transitions do not cover the target well enough for one."""
+    tset, _ = run_probe_deployment(target, seed, grid_deg)
+    try:
+        return bounding_box(tset, target)
+    except InsufficientCoverageError:
+        return None
+
+
+def pooled_boxes(targets: list[GeoPoint], seeds: list[int], grid_deg: float = DEFAULT_GRID_DEG) -> list[Rect | None]:
+    """Box of one `run_probe_deployment` per (target, seed) pair, in input
+    order, None where the run's transitions cover too few region faces.
+
+    The runs are independent (each has its own registry, service and
+    `Random(seed)`), so they go to one worker process per CPU this process
+    may run on, capped at the number of runs, and the result is the one a
+    serial loop gives. Workers are forked, so they start from the modules
+    already imported here instead of importing them again; forking is safe
+    while the caller runs no other thread, as the CLI does. The pool closes
+    before this returns, and a run's exception propagates with its own
+    class.
+    """
+    # Imported here: they are not needed until the first pooled run, and
+    # importing proxilab.cli should not pay for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(os.sched_getaffinity(0)), len(targets))
+    chunksize = max(1, len(targets) // (4 * workers))
+    job = functools.partial(_pooled_box, grid_deg=grid_deg)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(job, targets, seeds, chunksize=chunksize))
 
 
 def build_report(tset: TransitionSet, anchor: GeoPoint) -> PrivacyReport:

@@ -28,6 +28,8 @@ EXIT_BANNED = 4
 EXIT_NOT_FOUND = 5
 
 SEED_ENV_VAR = "PROXILAB_SEED"
+# Each pooled run gives two edge samples per axis to the uniform fits.
+MIN_FIGURE_RUNS = analysis.UNIFORM_FIT_MIN_SAMPLES // 2
 
 
 @dataclass
@@ -78,6 +80,16 @@ def _parse_point(text: str) -> GeoPoint:
         return GeoPoint(float(lat_s), float(lon_s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lat,lon degrees, got {text!r}") from exc
+
+
+def _parse_runs(text: str) -> int:
+    try:
+        runs = int(text)
+    except ValueError:
+        runs = None
+    if runs is None or runs < MIN_FIGURE_RUNS:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {MIN_FIGURE_RUNS}, got {text!r}")
+    return runs
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -276,23 +288,17 @@ def cmd_figures(args) -> int:
         "cell_to_box_area_ratio": cell * cell / rect40.area,
     }
 
-    # Pooled edge-offset and centroid-error distributions at lat 23.
+    # Pooled edge-offset and centroid-error distributions at lat 23, one
+    # deployment per run; a run whose crossings miss a face is dropped.
     base = GeoPoint(23.0, 10.0)
     rng_pool = random.Random(seed)
-    rects: list[analysis.Rect] = []
-    phasors: list[analysis.Phasor] = []
-    for k in range(args.runs):
-        target = GeoPoint(
-            base.lat + rng_pool.uniform(-0.02, 0.02),
-            base.lon + rng_pool.uniform(-0.05, 0.05),
-        )
-        run_set, _ = analysis.run_probe_deployment(target, seed=seed * 100_003 + k, grid_deg=config.grid_deg)
-        try:
-            rect = analysis.bounding_box(run_set, target)
-        except analysis.InsufficientCoverageError:
-            continue
-        rects.append(rect)
-        phasors.append(analysis.phasor((0.0, 0.0), analysis.centroid(rect)))
+    targets = [
+        GeoPoint(base.lat + rng_pool.uniform(-0.02, 0.02), base.lon + rng_pool.uniform(-0.05, 0.05))
+        for _ in range(args.runs)
+    ]
+    seeds = [seed * 100_003 + k for k in range(args.runs)]
+    rects = [r for r in analysis.pooled_boxes(targets, seeds, config.grid_deg) if r is not None]
+    phasors = [analysis.phasor((0.0, 0.0), analysis.centroid(r)) for r in rects]
     d_x, d_y = analysis.edge_offsets(rects)
     analysis.write_ecdf_csv(path("edge_offset_x_ecdf.csv"), analysis.ecdf(d_x), config=cfg_dict)
     analysis.write_ecdf_csv(path("edge_offset_y_ecdf.csv"), analysis.ecdf(d_y), config=cfg_dict)
@@ -410,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="regenerate the canned experiment datasets")
     add_common(p_fig)
-    p_fig.add_argument("--runs", type=int, default=300, help="deployments for the pooled distributions")
+    p_fig.add_argument("--runs", type=_parse_runs, default=300, help="deployments for the pooled distributions")
     add_config(p_fig, "step")
     p_fig.add_argument("--out", required=True, help="output directory")
     p_fig.set_defaults(func=cmd_figures)

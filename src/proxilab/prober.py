@@ -54,6 +54,10 @@ class AttackBannedError(RuntimeError):
         self.step = step
         self.cause = cause
 
+    def __reduce__(self):
+        # The default rebuilds from the message alone, which __init__ rejects.
+        return type(self), (self.step, self.cause)
+
 
 class _BudgetExhausted(Exception):
     pass
@@ -363,8 +367,17 @@ def write_transitions(path: str, tset: TransitionSet, config: dict | None = None
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# JSON true and false load as bools, which are ints to isinstance.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _read_point(value, where: str) -> GeoPoint:
-    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value)):
+    if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)):
         raise ValueError(f"{where}: expected a [lat, lon] pair of numbers, got {value!r}")
     try:
         return GeoPoint(value[0], value[1])
@@ -381,7 +394,8 @@ def _field(rec: dict, key: str, where: str):
 
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     """Inverse of write_transitions; returns the set and the meta record.
-    A malformed line raises a ValueError that names `path:line`."""
+    A malformed line raises a ValueError that names `path:line`; a meta
+    record may leave out its counts (0) and `budget_exhausted` (False)."""
     meta: dict = {}
     transitions: list[Transition] = []
     target = None
@@ -400,12 +414,18 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             if rec.get("type") == "meta":
                 meta = rec
                 target = rec.get("target")
+                for key in ("total_queries", "exploration_queries"):
+                    count = rec.get(key, 0)
+                    if not _is_int(count) or count < 0:
+                        raise ValueError(f"{where}: {key} must be a non-negative int, got {count!r}")
+                if not isinstance(rec.get("budget_exhausted", False), bool):
+                    raise ValueError(f"{where}: budget_exhausted must be a bool, got {rec['budget_exhausted']!r}")
                 continue
             target = target or _field(rec, "target", where)
             inside = _read_point(_field(rec, "inside", where), f"{where}: inside")
             outside = _read_point(_field(rec, "outside", where), f"{where}: outside")
             bearing = _field(rec, "bearing", where)
-            if isinstance(bearing, bool) or not isinstance(bearing, (int, float)) or not math.isfinite(bearing):
+            if not _is_number(bearing) or not math.isfinite(bearing):
                 raise ValueError(f"{where}: bearing must be a finite number, got {bearing!r}")
             dir_value = _field(rec, "dir", where)
             try:
@@ -413,7 +433,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             except ValueError as exc:
                 raise ValueError(f"{where}: dir: {exc}") from exc
             queries = _field(rec, "queries", where)
-            if isinstance(queries, bool) or not isinstance(queries, int):
+            if not _is_int(queries):
                 raise ValueError(f"{where}: queries must be an int, got {queries!r}")
             transitions.append(Transition(inside, outside, bearing, direction, queries))
     if target is None:

@@ -96,6 +96,10 @@ class RegistryFormatError(ValueError):
         self.line_no = line_no
         self.reason = reason
 
+    def __reduce__(self):
+        # The default rebuilds from the message alone, which __init__ rejects.
+        return type(self), (self.path, self.line_no, self.reason)
+
 
 @dataclass(frozen=True)
 class GridNode:

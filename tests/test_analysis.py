@@ -5,15 +5,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxilab import analysis, geo, prober, service, wire
 from proxilab.geo import GeoPoint, LocalXY, from_local
 from proxilab.prober import Direction, Transition, TransitionSet
-from proxilab.service import LocalClient
+from proxilab.service import FloodWaitError, LocalClient
 from proxilab.analysis import (
     InsufficientCoverageError,
     NoShiftObservedError,
@@ -350,3 +352,41 @@ class TestReportsAndFiles:
         lines = path.read_text().splitlines()
         assert lines[1] == "value,F,lo,hi"
         assert len(lines) == 2 + 3
+
+
+# Constructor arguments for the exception classes that take more than a
+# message; every other public exception class gets cls("boom").
+_EXCEPTION_ARGS = {
+    "AttackBannedError": ("probe-outward", FloodWaitError("quota spent", retry_after_s=3600.0)),
+    "RegistryFormatError": ("targets.jsonl", 3, "missing field 'lat'"),
+    "QueryRejected": ("rejected", 5.0),
+    "FloodWaitError": ("quota spent", 3600.0),
+    "SpeedBanError": ("too fast", 60.0),
+    "AreaRestrictedError": ("outside the anchored area", 596.0),
+}
+
+
+def _public_exception_classes():
+    for mod in (geo, service, prober, analysis, wire):
+        for name, obj in vars(mod).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__ and not name.startswith("_")):
+                yield pytest.param(obj, id=f"{mod.__name__.rsplit('.', 1)[1]}.{name}")
+
+
+def _assert_same_exception(a: BaseException, b: BaseException) -> None:
+    assert type(b) is type(a) and str(b) == str(a)
+    assert vars(b).keys() == vars(a).keys()
+    for key, value in vars(a).items():
+        if isinstance(value, BaseException):
+            _assert_same_exception(value, vars(b)[key])
+        else:
+            assert vars(b)[key] == value
+
+
+@pytest.mark.parametrize("cls", list(_public_exception_classes()))
+def test_public_exceptions_survive_pickle(cls):
+    # A pooled run's exception reaches the parent through pickle; one that
+    # cannot be rebuilt surfaces as BrokenProcessPool instead of its class.
+    exc = cls(*_EXCEPTION_ARGS.get(cls.__name__, ("boom",)))
+    _assert_same_exception(exc, pickle.loads(pickle.dumps(exc)))

@@ -4,22 +4,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import random
 import socket
 
 import pytest
 
+from proxilab import analysis
 from proxilab.analysis import DEFAULT_STEP_M, SWEEP_CITIES
 from proxilab.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_NOT_FOUND,
     EXIT_OK,
+    ExperimentConfig,
     build_parser,
     build_server,
     main,
 )
 from proxilab.geo import GeoPoint
-from proxilab.prober import DEFAULT_TRANSITIONS, ProbeConfig
+from proxilab.prober import DEFAULT_TRANSITIONS, InconsistentOracleError, ProbeConfig
 from proxilab.service import (
     DEFAULT_DAILY_QUOTA,
     DEFAULT_GRID_DEG,
@@ -310,6 +315,7 @@ def test_bad_input_exits_with_one_error_line(tmp_path, registry_file, argv, frag
     pytest.param(json.dumps({**_RECORD, "bearing": "north"}), id="non-number-bearing"),
     pytest.param(json.dumps({**_RECORD, "queries": 1.5}), id="non-int-queries"),
     pytest.param(json.dumps({**_RECORD, "queries": True}), id="bool-queries"),
+    pytest.param(json.dumps({**_RECORD, "inside": [True, 0.0]}), id="bool-transition-lat"),
 ])
 def test_malformed_transition_record_names_path_and_line(tmp_path, registry_file, line, capsys):
     tfile = _transitions_file(tmp_path, line)
@@ -317,6 +323,22 @@ def test_malformed_transition_record_names_path_and_line(tmp_path, registry_file
     assert code == EXIT_CONFIG
     errors = [msg for msg in capsys.readouterr().err.splitlines() if "error:" in msg]
     assert len(errors) == 1 and f"{tfile}:2:" in errors[0]
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"total_queries": "lots"}, id="string-total-queries"),
+    pytest.param({"exploration_queries": None}, id="null-exploration-queries"),
+    pytest.param({"total_queries": -1}, id="negative-total-queries"),
+    pytest.param({"exploration_queries": True}, id="bool-exploration-queries"),
+    pytest.param({"budget_exhausted": 0}, id="int-budget-exhausted"),
+])
+def test_malformed_meta_record_names_path_and_line(tmp_path, registry_file, fields, capsys):
+    meta = json.dumps({"type": "meta", "target": "alice", **fields})
+    tfile = _file(tmp_path / "t.jsonl", meta + "\n" + json.dumps(_RECORD) + "\n")
+    code = main(["analyze", "--transitions", tfile, "--targets", registry_file, "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_CONFIG
+    errors = [msg for msg in capsys.readouterr().err.splitlines() if "error:" in msg]
+    assert len(errors) == 1 and f"{tfile}:1:" in errors[0]
 
 
 class TestSweep:
@@ -377,6 +399,74 @@ class TestFigures:
         assert main(["figures", "--runs", "25", "--step", "3000", "--out", str(out)]) == EXIT_OK
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
         assert [line.split(":")[1].strip() for line in warnings] == [name for name, _, _ in SWEEP_CITIES]
+
+
+    @pytest.mark.parametrize("runs", ["0", "-3", "9"])
+    def test_runs_below_ten_is_a_usage_error(self, tmp_path, runs, monkeypatch, capsys):
+        # Ten runs give the 20 edge samples per axis a uniform fit needs.
+        deployments = []
+        monkeypatch.setattr(analysis, "run_probe_deployment", lambda *args, **kw: deployments.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--runs", runs, "--out", str(tmp_path / "figs")])
+        assert exc.value.code == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--runs" in errors[0]
+        assert deployments == [] and not (tmp_path / "figs").exists()
+
+    def test_failing_pooled_run_raises_its_error_and_leaves_no_worker(self, tmp_path, monkeypatch):
+        # Forked workers inherit the patch; pooled run seeds are 0..9 at --seed 0.
+        real = analysis.run_probe_deployment
+
+        def run(target, seed=0, grid_deg=DEFAULT_GRID_DEG):
+            if seed == 5:
+                raise InconsistentOracleError("class 2000 while walking inward")
+            return real(target, seed, grid_deg)
+
+        monkeypatch.setattr(analysis, "run_probe_deployment", run)
+        with pytest.raises(InconsistentOracleError, match="class 2000 while walking inward"):
+            main(["figures", "--runs", "10", "--seed", "0", "--out", str(tmp_path / "figs")])
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_runs_match_a_serial_loop(self, tmp_path, monkeypatch):
+        """The four ECDF files and summary distributions of `figures --runs
+        25 --seed 3` on two workers and on one equal those of a plain loop
+        over the same deployments, so the pool keeps the runs' order."""
+        names = ("edge_offset_x_ecdf.csv", "edge_offset_y_ecdf.csv", "radius_ecdf.csv", "phase_ecdf.csv")
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        rng_pool = random.Random(3)
+        rects = []
+        for k in range(25):
+            target = GeoPoint(23.0 + rng_pool.uniform(-0.02, 0.02), 10.0 + rng_pool.uniform(-0.05, 0.05))
+            tset, _ = analysis.run_probe_deployment(target, seed=3 * 100_003 + k)
+            try:
+                rects.append(analysis.bounding_box(tset, target))
+            except analysis.InsufficientCoverageError:
+                continue
+        phasors = [analysis.phasor((0.0, 0.0), analysis.centroid(r)) for r in rects]
+        d_x, d_y = analysis.edge_offsets(rects)
+        rho = [p.rho for p in phasors]
+        config = ExperimentConfig(seed=3).to_dict()
+        for name, samples in zip(names, (d_x, d_y, rho, [p.phase for p in phasors])):
+            analysis.write_ecdf_csv(str(serial / name), analysis.ecdf(samples), config=config)
+        expected = {
+            "distributions": {
+                "runs_used": len(rects),
+                "edge_x_fit": list(analysis.fit_uniform(d_x)),
+                "edge_y_fit": list(analysis.fit_uniform(d_y)),
+                "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho),
+            },
+            **{name: (serial / name).read_bytes() for name in names},
+        }
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"pooled-{len(cpus)}"
+            assert main(["figures", "--runs", "25", "--seed", "3", "--out", str(out)]) == EXIT_OK
+            got = {
+                "distributions": json.loads((out / "summary.json").read_text())["distributions"],
+                **{name: (out / name).read_bytes() for name in names},
+            }
+            assert got == expected
 
 
 class TestFlagsReachConsumers:
