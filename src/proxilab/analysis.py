@@ -18,10 +18,9 @@ import json
 import math
 import os
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .geo import GeoPoint, ProjectionDomainError, destination, to_local
 from .prober import (
@@ -81,10 +80,11 @@ class Rect:
             raise ValueError("rect edges out of order")
 
     @classmethod
-    def from_points(cls, pts: np.ndarray) -> "Rect":
-        """Component-wise min/max box over (n, 2) points."""
-        (x_m, y_m), (x_M, y_M) = pts.min(axis=0), pts.max(axis=0)
-        return cls(float(x_m), float(x_M), float(y_m), float(y_M))
+    def from_points(cls, pts: list[tuple[float, float]]) -> "Rect":
+        """Component-wise min/max box over (x, y) points."""
+        xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
+        return cls(min(xs), max(xs), min(ys), max(ys))
 
     @property
     def width(self) -> float:
@@ -159,13 +159,13 @@ SWEEP_CITIES: tuple[tuple[str, float, float], ...] = (
 # -- box geometry ----------------------------------------------------------
 
 
-def midpoints_local(tset: TransitionSet, anchor: GeoPoint) -> np.ndarray:
-    """Transition midpoints as (n, 2) local meters about the anchor."""
+def midpoints_local(tset: TransitionSet, anchor: GeoPoint) -> list[tuple[float, float]]:
+    """Transition midpoints as (x, y) local meters about the anchor."""
     pts = []
     for t in tset.transitions:
         xy = to_local(anchor, t.midpoint())
         pts.append((xy.x, xy.y))
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
+    return pts
 
 
 def _crossing_sides(tset: TransitionSet, anchor: GeoPoint, rect: Rect) -> set[str]:
@@ -222,19 +222,19 @@ def centroid(rect: Rect) -> tuple[float, float]:
     return rect.center()
 
 
-def edge_offsets(rects: list[Rect]) -> tuple[np.ndarray, np.ndarray]:
+def edge_offsets(rects: list[Rect]) -> tuple[array, array]:
     """Distances from each box edge to the target, pooled across runs.
 
     Every rect must be expressed in its own target-anchored frame (target at
     the origin). Returns (d_x, d_y) with two samples per run per axis, one
     for each opposing edge.
     """
-    d_x: list[float] = []
-    d_y: list[float] = []
+    d_x = array("d")
+    d_y = array("d")
     for r in rects:
         d_x.extend((r.x_M, -r.x_m))
         d_y.extend((r.y_M, -r.y_m))
-    return np.asarray(d_x), np.asarray(d_y)
+    return d_x, d_y
 
 
 def phasor(target_xy: tuple[float, float], centroid_xy: tuple[float, float]) -> Phasor:
@@ -252,11 +252,10 @@ class Ecdf:
     level `ECDF_ALPHA`."""
 
     def __init__(self, samples):
-        arr = np.sort(np.asarray(samples, dtype=float))
-        if arr.size < 1:
+        self.samples = sorted(float(v) for v in samples)
+        self.n = len(self.samples)
+        if self.n < 1:
             raise TooFewSamplesError("need at least one sample")
-        self.samples = arr
-        self.n = int(arr.size)
         self.band_half_width = math.sqrt(math.log(2.0 / ECDF_ALPHA) / (2.0 * self.n))
 
     def rows(self) -> list[tuple[float, float, float, float]]:
@@ -265,7 +264,7 @@ class Ecdf:
         out = []
         for k, v in enumerate(self.samples, start=1):
             f = k / self.n
-            out.append((float(v), f, max(0.0, f - eps), min(1.0, f + eps)))
+            out.append((v, f, max(0.0, f - eps), min(1.0, f + eps)))
         return out
 
 
@@ -276,10 +275,10 @@ def ecdf(samples) -> Ecdf:
 def fit_uniform(samples) -> tuple[float, float]:
     """Uniform fit by sample min/max, exactly as plotted in the field study
     (biased, but fidelity beats optimality here)."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < UNIFORM_FIT_MIN_SAMPLES:
-        raise TooFewSamplesError(f"need >= {UNIFORM_FIT_MIN_SAMPLES} samples for a uniform fit, have {arr.size}")
-    return float(arr.min()), float(arr.max())
+    vals = [float(v) for v in samples]
+    if len(vals) < UNIFORM_FIT_MIN_SAMPLES:
+        raise TooFewSamplesError(f"need >= {UNIFORM_FIT_MIN_SAMPLES} samples for a uniform fit, have {len(vals)}")
+    return min(vals), max(vals)
 
 
 # -- shape taxonomy ----------------------------------------------------------
@@ -297,7 +296,7 @@ def classify_shape(obj, anchor: GeoPoint | None = None) -> Shape:
             raise ValueError("anchor required to localize a TransitionSet")
         pts = midpoints_local(obj, anchor)
     else:
-        pts = np.asarray(list(obj), dtype=float).reshape(-1, 2)
+        pts = [(float(x), float(y)) for x, y in obj]
     if len(pts) < SHAPE_MIN_POINTS:
         return Shape.UNKNOWN
     rect = Rect.from_points(pts)
@@ -309,7 +308,7 @@ def classify_shape(obj, anchor: GeoPoint | None = None) -> Shape:
         return Shape.UNKNOWN
     tile = _tile_from_box(rect)
     for corner in rect.corners():
-        d_min = float(np.hypot(pts[:, 0] - corner[0], pts[:, 1] - corner[1]).min())
+        d_min = min(math.hypot(x - corner[0], y - corner[1]) for x, y in pts)
         if d_min <= tile / 3.0:
             return Shape.SQUARE
     return Shape.CROSS

@@ -8,6 +8,7 @@ server never consults its own.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -28,6 +29,9 @@ from .service import (
 PROTOCOL_VERSION = 1
 DEFAULT_BIND = ("127.0.0.1", 7878)
 REQUEST_FIELDS = {"v", "type", "account", "lat", "lon", "ts"}
+# Longest request line, newline included, the server reads; a search request
+# is about 100 bytes plus its account name.
+MAX_REQUEST_BYTES = 4096
 _CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError, AreaRestrictedError)}
 # BAD_REQUEST is the client's fault, INTERNAL the server's.
 ERROR_CODES = ("BAD_REQUEST", "INTERNAL", *_CODE_TO_ERROR)
@@ -121,7 +125,13 @@ def error_response(code: str, retry_after_s: float = 0.0) -> dict:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         service: Service = self.server.nearby_service  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        readline, limit = self.rfile.readline, MAX_REQUEST_BYTES + 1
+        while raw := readline(limit):
+            if len(raw) > MAX_REQUEST_BYTES:
+                # One BAD_REQUEST, then close rather than read the rest.
+                with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                    self.wfile.write(encode(error_response("BAD_REQUEST")))
+                return
             try:
                 resp = self._respond(service, raw)
             except Exception:

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -390,3 +391,97 @@ def test_public_exceptions_survive_pickle(cls):
     # cannot be rebuilt surfaces as BrokenProcessPool instead of its class.
     exc = cls(*_EXCEPTION_ARGS.get(cls.__name__, ("boom",)))
     _assert_same_exception(exc, pickle.loads(pickle.dumps(exc)))
+
+
+# -- stdlib statistics against the numpy formulas they replaced ---------------
+
+
+def _np_from_points(pts) -> Rect:
+    arr = np.asarray(pts, dtype=float).reshape(-1, 2)
+    (x_m, y_m), (x_M, y_M) = arr.min(axis=0), arr.max(axis=0)
+    return Rect(float(x_m), float(x_M), float(y_m), float(y_M))
+
+
+def _np_ecdf_rows(samples) -> list[tuple[float, float, float, float]]:
+    arr = np.sort(np.asarray(samples, dtype=float))
+    n = int(arr.size)
+    eps = math.sqrt(math.log(2.0 / analysis.ECDF_ALPHA) / (2.0 * n))
+    return [(float(v), k / n, max(0.0, k / n - eps), min(1.0, k / n + eps)) for k, v in enumerate(arr, start=1)]
+
+
+def _np_classify_shape(points) -> Shape:
+    pts = np.asarray(list(points), dtype=float).reshape(-1, 2)
+    if len(pts) < analysis.SHAPE_MIN_POINTS:
+        return Shape.UNKNOWN
+    rect = _np_from_points(pts)
+    if rect.width <= 0 or rect.height <= 0:
+        return Shape.UNKNOWN
+    cx, cy = rect.center()
+    if len({(x > cx, y > cy) for x, y in pts if x != cx and y != cy}) < 4:
+        return Shape.UNKNOWN
+    tile = (rect.width + rect.height) / 6.0
+    with np.errstate(all="ignore"):
+        for corner in rect.corners():
+            if float(np.hypot(pts[:, 0] - corner[0], pts[:, 1] - corner[1]).min()) <= tile / 3.0:
+                return Shape.SQUARE
+    return Shape.CROSS
+
+
+def _same(a: float, b: float) -> bool:
+    """Same bits, or both zeros: numpy's min, max and sort pick between tied
+    +0.0 and -0.0 by array position, Python's keep the first one seen."""
+    return float.hex(a) == float.hex(b) or a == b == 0.0
+
+
+def _with_repeats(values, max_size=30):
+    """Lists drawn from `values` whose tail repeats entries of the head."""
+    return st.lists(values, min_size=1, max_size=max_size).flatmap(
+        lambda head: st.lists(st.sampled_from(head), max_size=30).map(lambda tail: head + tail)
+    )
+
+
+_FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+_POINT = st.tuples(_FINITE, _FINITE)
+# Bounded, so that enough draws have the 20 points in four quadrants that
+# reach the Square/Cross decision.
+_METERS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2000.0, 2000.0))
+
+
+class TestStdlibMatchesNumpy:
+    @settings(max_examples=200, deadline=None)
+    @given(_with_repeats(_POINT))
+    def test_rect_from_points(self, pts):
+        got, ref = Rect.from_points(pts), _np_from_points(pts)
+        assert all(_same(a, b) for a, b in zip(astuple(got), astuple(ref)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_with_repeats(_FINITE))
+    def test_ecdf_rows_and_uniform_fit(self, samples):
+        rows, ref = ecdf(samples).rows(), _np_ecdf_rows(samples)
+        assert len(rows) == len(ref)
+        for row, ref_row in zip(rows, ref):
+            assert all(_same(a, b) for a, b in zip(row, ref_row))
+        if len(samples) >= analysis.UNIFORM_FIT_MIN_SAMPLES:
+            arr = np.asarray(samples, dtype=float)
+            lo, hi = fit_uniform(samples)
+            assert _same(lo, float(arr.min())) and _same(hi, float(arr.max()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(Rect.from_points, st.lists(_POINT, min_size=1, max_size=4)), max_size=20))
+    def test_edge_offsets(self, rects):
+        d_x, d_y = edge_offsets(rects)
+        ref_x = np.asarray([v for r in rects for v in (r.x_M, -r.x_m)])
+        ref_y = np.asarray([v for r in rects for v in (r.y_M, -r.y_m)])
+        assert [float.hex(v) for v in d_x.tolist()] == [float.hex(v) for v in ref_x.tolist()]
+        assert [float.hex(v) for v in d_y.tolist()] == [float.hex(v) for v in ref_y.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_with_repeats(st.tuples(_METERS, _METERS), max_size=60))
+    def test_classify_shape_arbitrary_points(self, pts):
+        assert classify_shape(pts) is _np_classify_shape(pts)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(2.0, 46.0), st.floats(-1.0, 1.0))
+    def test_classify_shape_region_boundaries(self, lat, jitter):
+        pts = [(x + jitter * (k % 3), y - jitter * (k % 5)) for k, (x, y) in enumerate(oracle_boundary_points(lat))]
+        assert classify_shape(pts) is _np_classify_shape(pts)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import socket
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from proxilab.service import (
     TargetRegistry,
 )
 from proxilab.wire import (
+    MAX_REQUEST_BYTES,
     ApiServer,
     DecodeError,
     TcpClient,
@@ -106,6 +108,33 @@ class TestServer:
             assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
             # connection still usable
             assert client.search(GeoPoint(0, 0), 0.0) == [("t", 500)]
+
+    def test_over_long_line_gets_one_bad_request_then_close(self, served):
+        (host, port), _ = served
+        junk = b"x" * (2 * 1024 * 1024)  # no newline anywhere
+        assert len(junk) > MAX_REQUEST_BYTES
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            try:
+                sock.sendall(junk)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server closed before reading the rest
+            with sock.makefile("rb") as rfile:
+                assert decode(rfile.readline())["code"] == "BAD_REQUEST"
+                try:
+                    assert rfile.readline() == b""
+                except ConnectionResetError:
+                    pass  # closed with the unread rest of the line pending
+        with TcpClient(host, port, "a") as client:
+            assert client.search(GeoPoint(0, 0), 0.0) == [("t", 500)]
+
+    def test_line_of_max_length_is_answered(self, served):
+        (host, port), _ = served
+        line = encode(make_search("a", GeoPoint(0, 0), 0.0))
+        line = line[:-1] + b" " * (MAX_REQUEST_BYTES - len(line)) + b"\n"
+        assert len(line) == MAX_REQUEST_BYTES
+        with TcpClient(host, port, "a") as client:
+            assert client.request_line(line)["type"] == "result"
+            assert client.search(GeoPoint(0, 0), 1.0) == [("t", 500)]
 
     def test_server_bug_gets_internal_and_connection_stays_open(self, served, monkeypatch, caplog):
         (host, port), _ = served
