@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -618,6 +619,54 @@ class TestIndexedSearch:
         assert all(registry.position(rec.id) == rec.pos for rec in recs)
         assert svc.search("final", center, 1e6) == brute_force_search(svc, "final", center)
 
+
+# Four 15 km city discs: equatorial, 25 deg, 64 deg, and one straddling +-180.
+PIN_CITIES = (GeoPoint(0.0, 10.0), GeoPoint(25.3, 51.5), GeoPoint(64.1, -21.9), GeoPoint(-16.8, 180.0))
+# sha256 of the listings of `seeded_listings()`, one JSON array per line.
+GOLDEN_LISTINGS = "9735366069a55f1f34b2b212e7fd697a1ff7942c117b19e00d326d10232a98cf"
+
+
+def seeded_listings() -> list[list[tuple[str, int]]]:
+    """300 searches over 3,000 targets in PIN_CITIES, 2% of them contacts of
+    account a, with a target move before every fifth search. Every fourth
+    search is account a's, next to one of its contacts; the others land up
+    to 25 km from a city center, so some listings fall short of 100."""
+    rng = random.Random(2024)
+
+    def in_city(radius_m: float) -> GeoPoint:
+        city = rng.choice(PIN_CITIES)
+        return destination(city, rng.uniform(0.0, 360.0), radius_m * rng.random() ** 0.5)
+
+    registry = TargetRegistry()
+    contacts = []
+    for k in range(3_000):
+        tid = f"t{k:04d}"
+        is_contact = rng.random() < 0.02
+        if is_contact:
+            contacts.append(tid)
+        registry.add(tid, in_city(15_000.0), ("a",) if is_contact else ())
+    svc = Service(registry, speed_limit_mps=math.inf)
+    listings = []
+    for step in range(300):
+        if step % 5 == 4:
+            tid = f"t{rng.randrange(3_000):04d}"
+            registry.move(tid, destination(registry.position(tid), rng.uniform(0.0, 360.0), rng.uniform(10.0, 2_000.0)))
+        if step % 4 == 0:
+            # account a next to one of its contacts, for the 100 m class
+            tid = rng.choice(contacts)
+            account, pos = "a", destination(registry.position(tid), rng.uniform(0.0, 360.0), 200.0 * rng.random())
+        else:
+            account, pos = rng.choice("abc"), in_city(25_000.0)
+        listings.append(svc.search(account, pos, float(step)))
+    return listings
+
+
+def test_seeded_listings_digest():
+    listings = seeded_listings()
+    assert 50 < sum(len(out) == 100 for out in listings) < 300  # truncation fires, not always
+    assert any(cls == 100 for out in listings for _, cls in out)  # contacts listed
+    lines = "".join(json.dumps(out) + "\n" for out in listings)
+    assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN_LISTINGS
 
 
 class TestRegistryFile:
