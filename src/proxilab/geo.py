@@ -34,7 +34,10 @@ class LocalFrameRangeError(ValueError):
 
 
 def _wrap_lon(lon: float) -> float:
-    return (lon + 180.0) % 360.0 - 180.0
+    lon = (lon + 180.0) % 360.0 - 180.0
+    # A longitude less than half an ulp of 360 west of -180 wraps to
+    # 360.0 - 180.0; the normalized range stops short of 180.
+    return -180.0 if lon == 180.0 else lon
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,15 @@ _set_field = object.__setattr__
 
 
 def _point(lat: float, lon: float) -> GeoPoint:
-    """GeoPoint(lat, lon) for a latitude already in [-90, 90] and a
-    longitude already wrapped, without the public constructor's check and
-    wrap: the caller applies the wrap itself, so the bits are the same.
-    The fields are set as the dataclass __init__ sets them; writing
-    through `__dict__` instead would make every later read of them slower."""
+    """GeoPoint(lat, lon) for a latitude already in [-90, 90] and a finite
+    longitude, without the public constructor's checks; the longitude
+    wrap is `_wrap_lon`, inlined, so the bits are the same. The fields are
+    set as the dataclass __init__ sets them; writing through `__dict__`
+    instead would make every later read of them slower."""
+    lon = (lon + 180.0) % 360.0 - 180.0
     p = _new_object(GeoPoint)
     _set_field(p, "lat", lat)
-    _set_field(p, "lon", lon)
+    _set_field(p, "lon", -180.0 if lon == 180.0 else lon)
     return p
 
 
@@ -160,7 +164,7 @@ def destination(p: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoint:
         sin(theta) * sin_delta * cos_phi1,
         cos_delta - sin_phi1 * sin_phi2,
     )
-    return _point(asin(sin_phi2) * DEGREES_PER_RADIAN, (lam2 * DEGREES_PER_RADIAN + 180.0) % 360.0 - 180.0)
+    return _point(asin(sin_phi2) * DEGREES_PER_RADIAN, lam2 * DEGREES_PER_RADIAN)
 
 
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
@@ -175,5 +179,5 @@ def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
         raise LocalFrameRangeError(f"point {b} beyond {LOCAL_FRAME_RANGE_M} m of anchor")
     return _point(
         a.lat + y / 2.0 / METERS_PER_DEGREE,
-        (a.lon + x / 2.0 / (METERS_PER_DEGREE * cos_lat) + 180.0) % 360.0 - 180.0,
+        a.lon + x / 2.0 / (METERS_PER_DEGREE * cos_lat),
     )

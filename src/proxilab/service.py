@@ -141,9 +141,9 @@ class Quantizer:
         i = floor(p.lon / g + 0.5)
         j = floor(y / g + 0.5)
         node_lat = (2.0 * atan(exp(j * g * RADIANS_PER_DEGREE)) - math.pi / 2.0) * DEGREES_PER_RADIAN
-        # i * g reaches 180.0 just west of the antimeridian; the wrap takes
-        # it to -180.0, as GeoPoint's would.
-        return _point(node_lat, (i * g + 180.0) % 360.0 - 180.0)
+        # i * g reaches 180.0 just west of the antimeridian; _point's wrap
+        # takes it to -180.0, as GeoPoint's would.
+        return _point(node_lat, i * g)
 
     def cell_size(self, lat_deg: float) -> float:
         """Ground extent of one cell in meters, identical in both axes."""

@@ -288,3 +288,11 @@ class TestTrustedPoints:
 
     def test_snap_point_at_the_antimeridian_node_is_west(self):
         assert Quantizer().snap_point(GeoPoint(10.0, 179.999)).lon == -180.0
+
+    def test_wrap_a_rounding_error_west_of_the_antimeridian(self):
+        # -180 - 2**-45 wraps to 360.0 - 180.0 in floating point, which must
+        # still read -180.0, and midpoint's wrap meets it at this example.
+        assert GeoPoint(0.0, -180.0 - 2.0**-45).lon == -180.0
+        m = midpoint(GeoPoint(0.0, -179.99000000000004), GeoPoint(0.0, -180.01000000000004))
+        assert m.lon == -180.0
+        self.assert_canonical(m)
