@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from dataclasses import dataclass
 from math import asin, atan, cos, exp, floor, log, sin, tan
+from operator import itemgetter
 
 from .geo import (
     DEGREES_PER_RADIAN,
@@ -52,10 +54,10 @@ DEFAULT_MAX_RESULTS = 100
 SECONDS_PER_DAY = 86_400.0
 
 # Edge of the registry's index blocks, about 1.1 km of latitude. Against a
-# search reach of about 13.3 km, the window of blocks a search visits, one
-# block of margin included, holds about 1.6 times the targets within reach
-# at mid latitudes; larger blocks inflate that share, smaller ones the
-# number of blocks to look up.
+# search reach of about 13.3 km, the window of blocks a search may walk,
+# one block of margin included, holds about 1.6 times the targets within
+# reach at mid latitudes; larger blocks inflate that share and coarsen the
+# walk's early stop, smaller ones raise the number of blocks to look up.
 BLOCK_DEG = 0.01
 _BLOCK_ROWS = round(180.0 / BLOCK_DEG)
 _BLOCK_COLS = round(360.0 / BLOCK_DEG)
@@ -183,6 +185,28 @@ def classify(d_m: float, contact: bool = False) -> int | None:
     return lower if d_m - lower <= upper - d_m else upper
 
 
+def _class_cutoffs() -> dict[int, float]:
+    """For each class c, the largest distance that `classify` maps to a
+    class <= c, for either contact flag: the midpoint to the next allowed
+    class (a tie goes to the smaller class), or the listing margin past
+    the last one."""
+    cutoffs = {}
+    for c in sorted(set().union(*DEFAULT_CLASS_TABLE)):
+        reach = []
+        for allowed in DEFAULT_CLASS_TABLE:
+            k = bisect_right(allowed, c)
+            if k == len(allowed):
+                reach.append(allowed[-1] + LISTING_MARGIN_M)
+            elif k:
+                reach.append((allowed[k - 1] + allowed[k]) / 2.0)
+        cutoffs[c] = max(reach)
+    return cutoffs
+
+
+CLASS_CUTOFF_M = _class_cutoffs()
+_ID, _CLASS = itemgetter(0), itemgetter(1)  # fields of a (target id, class) entry
+
+
 @dataclass
 class AccountState:
     """Per-account quota, movement and ban bookkeeping."""
@@ -250,44 +274,133 @@ class TargetRegistry:
             self._blocks.setdefault(new_block, {})[target_id] = rec
 
     def near(self, center: GeoPoint, radius_m: float) -> list[TargetRecord]:
-        """Every record in a block that the spherical cap of radius_m about
-        center can reach, with one block of margin on each side: a superset
-        of the targets within radius_m, in no particular order. A registry
-        of one record returns it whatever the cap."""
+        """Every record that `walk` yields, flattened: a superset of the
+        targets within radius_m of center, in no particular order. A
+        registry of one record returns it whatever the cap."""
         with self._lock:
-            if len(self._targets) == 1:
-                return list(self._targets.values())
-            delta = radius_m / EARTH_RADIUS_M
-            span = delta * DEGREES_PER_RADIAN
-            row_lo = max(floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
-            row_hi = min(floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
-            # The window's columns run from col_lo for n_cols, modulo
-            # _BLOCK_COLS so they wrap at the antimeridian; a cap that reaches
-            # a pole, or spans every longitude, takes whole rows.
-            col_lo, n_cols = 0, _BLOCK_COLS
-            if abs(center.lat) + span < 90.0:
-                ratio = sin(delta) / cos(center.lat * RADIANS_PER_DEGREE)
-                if ratio < 1.0:
-                    dlon = asin(ratio) * DEGREES_PER_RADIAN
-                    lo = floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
-                    hi = floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
-                    if hi - lo + 1 < _BLOCK_COLS:
-                        col_lo, n_cols = lo % _BLOCK_COLS, hi - lo + 1
-            out: list[TargetRecord] = []
-            if (row_hi - row_lo + 1) * n_cols > len(self._blocks):
-                # Fewer occupied blocks than blocks in the window: test each.
-                for key, bucket in self._blocks.items():
-                    row, col = divmod(key, _BLOCK_COLS)
-                    if row_lo <= row <= row_hi and (col - col_lo) % _BLOCK_COLS < n_cols:
-                        out.extend(bucket.values())
+            return [rec for group, _ in self.walk(center, radius_m) for rec in group]
+
+    def walk(self, center: GeoPoint, radius_m: float):
+        """Yield (records, rest_m) for every record in a block that the
+        spherical cap of radius_m about center can reach, one block of
+        margin on each side, nearest blocks first: no record yielded later
+        lies closer than rest_m to center, and rest_m never decreases. The
+        caller holds the registry's lock while iterating.
+
+        The groups are rings of blocks about center's block: ring k holds
+        the blocks at most k rows and about k / cos(lat_max) columns away
+        that ring k - 1 does not, lat_max being the largest latitude in the
+        window, so the far part of the window is never looked up. A
+        registry of one record yields it whatever the cap, and a cap that
+        reaches a pole or spans half the longitudes is one group."""
+        if len(self._targets) == 1:
+            return ((self._targets.values(), math.inf),)
+        return self._rings(center, radius_m)
+
+    def _rings(self, center: GeoPoint, radius_m: float):
+        blocks = self._blocks
+        get = blocks.get
+        delta = radius_m / EARTH_RADIUS_M
+        span = delta * DEGREES_PER_RADIAN
+        row_lo = max(floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
+        row_hi = min(floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
+        # The window's columns run from col_lo to col_hi, modulo _BLOCK_COLS
+        # so they wrap at the antimeridian.
+        col_lo = col_hi = None
+        if abs(center.lat) + span < 90.0:
+            ratio = sin(delta) / cos(center.lat * RADIANS_PER_DEGREE)
+            if ratio < 1.0:
+                dlon = asin(ratio) * DEGREES_PER_RADIAN
+                col_lo = floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
+                col_hi = floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
+        if col_lo is None or 2 * (col_hi - col_lo + 1) > _BLOCK_COLS:
+            # Whole rows; past half the longitudes a column offset is no
+            # longer a bound on the longitude difference.
+            group = []
+            if (row_hi - row_lo + 1) * _BLOCK_COLS > len(blocks):
+                for key, bucket in blocks.items():
+                    if row_lo <= key // _BLOCK_COLS <= row_hi:
+                        group.extend(bucket.values())
             else:
-                for row in range(row_lo, row_hi + 1):
-                    base = row * _BLOCK_COLS
-                    for col in range(col_lo, col_lo + n_cols):
-                        bucket = self._blocks.get(base + col % _BLOCK_COLS)
-                        if bucket:
-                            out.extend(bucket.values())
-        return out
+                keys = range(row_lo * _BLOCK_COLS, (row_hi + 1) * _BLOCK_COLS)
+                for bucket in filter(None, map(get, keys)):
+                    group.extend(bucket.values())
+            yield group, math.inf
+            return
+        row_c = floor((center.lat + 90.0) / BLOCK_DEG)
+        col_c = floor((center.lon + 180.0) / BLOCK_DEG)
+        # Offsets of the window's rows and columns from center's block.
+        dr_lo, dr_hi = row_lo - row_c, row_hi - row_c
+        dc_lo, dc_hi = col_lo - col_c, col_hi - col_c
+        max_dr, max_dc = max(-dr_lo, dr_hi), max(-dc_lo, dc_hi)
+        # Every point of the window lies within lat_max of the equator, so
+        # two of them g whole columns apart are at least
+        # 2R asin(cos(lat_max) sin(g BLOCK_DEG / 2)) apart (haversine), and g
+        # whole rows apart at least g BLOCK_DEG degrees of arc.
+        lat_max = max(abs(row_lo * BLOCK_DEG - 90.0), abs((row_hi + 1) * BLOCK_DEG - 90.0))
+        cos_max = cos(lat_max * RADIANS_PER_DEGREE)
+        ring_cols = [0]  # ring k reaches ring_cols[k] columns out
+        while len(ring_cols) <= max_dr or ring_cols[-1] < max_dc:
+            ring_cols.append(int(len(ring_cols) / cos_max))
+        half_block = BLOCK_DEG * RADIANS_PER_DEGREE / 2.0
+
+        def bound(k: int) -> float:
+            # Ring k's blocks are k rows away or beyond ring_cols[k - 1]
+            # columns, so at least k - 1 whole rows or ring_cols[k - 1]
+            # whole columns lie between them and center's block.
+            if k < 2:
+                return 0.0
+            if k >= len(ring_cols):
+                return math.inf
+            cols = min(ring_cols[k - 1], max_dc)
+            return min(
+                (k - 1) * BLOCK_DEG * METERS_PER_DEGREE,
+                2.0 * EARTH_RADIUS_M * asin(min(1.0, cos_max * sin(cols * half_block))),
+            )
+
+        if (dr_hi - dr_lo + 1) * (dc_hi - dc_lo + 1) > 8 * len(blocks):
+            # Few occupied blocks against the window: place each in its
+            # ring. This pass costs about as much per occupied block as the
+            # ring walk below does per eight blocks of the window.
+            rings: dict[int, list[TargetRecord]] = {}
+            for key, bucket in blocks.items():
+                row, col = divmod(key, _BLOCK_COLS)
+                dr = row - row_c
+                dc = (col - col_c - dc_lo) % _BLOCK_COLS + dc_lo
+                if dr_lo <= dr <= dr_hi and dc <= dc_hi:
+                    k = max(abs(dr), bisect_left(ring_cols, abs(dc)))
+                    rings.setdefault(k, []).extend(bucket.values())
+            for k in sorted(rings):
+                yield rings[k], bound(k + 1)
+            return
+        for k, reach in enumerate(ring_cols):
+            group = []
+            lo, hi = max(-reach, dc_lo), min(reach, dc_hi)
+            # The ring's whole rows, k rows south and north of center's.
+            first, last = (col_c + lo) % _BLOCK_COLS, (col_c + hi) % _BLOCK_COLS
+            for dr in {-k, k}:
+                if dr_lo <= dr <= dr_hi:
+                    base = (row_c + dr) * _BLOCK_COLS
+                    if first <= last:
+                        keys = range(base + first, base + last + 1)
+                    else:  # across the antimeridian
+                        keys = chain(
+                            range(base + first, base + _BLOCK_COLS), range(base, base + last + 1)
+                        )
+                    for bucket in filter(None, map(get, keys)):
+                        group.extend(bucket.values())
+            if k:
+                # Past the previous ring's columns, on the rows in between:
+                # one strided run of keys per column.
+                south = (row_c + max(1 - k, dr_lo)) * _BLOCK_COLS
+                north = (row_c + min(k - 1, dr_hi)) * _BLOCK_COLS
+                inner = ring_cols[k - 1]
+                for dc in chain(range(lo, -inner), range(inner + 1, hi + 1)):
+                    col = (col_c + dc) % _BLOCK_COLS
+                    keys = range(south + col, north + col + 1, _BLOCK_COLS)
+                    for bucket in filter(None, map(get, keys)):
+                        group.extend(bucket.values())
+            yield group, bound(k + 1)
 
     def position(self, target_id: str) -> GeoPoint:
         return self._targets[target_id].pos
@@ -306,7 +419,11 @@ class TargetRegistry:
     def from_jsonl(cls, path: str) -> "TargetRegistry":
         """Load targets from JSONL records:
         {"id": str, "lat": num, "lon": num, "contact_of": [account ids]}
-        """
+
+        A malformed record raises RegistryFormatError naming `path:line`:
+        an id that is not a non-empty string, a coordinate that is not a
+        number (JSON true and false included), or a contact id that is not
+        a string."""
         reg = cls()
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -326,13 +443,19 @@ class TargetRegistry:
                 except KeyError as exc:
                     raise RegistryFormatError(path, line_no, f"missing field {exc.args[0]!r}") from exc
                 contacts = rec.get("contact_of", [])
-                if (
-                    not isinstance(tid, str)
-                    or not isinstance(lat, (int, float))
-                    or not isinstance(lon, (int, float))
-                    or not isinstance(contacts, list)
-                ):
-                    raise RegistryFormatError(path, line_no, "bad field types")
+                if not isinstance(tid, str) or not tid:
+                    raise RegistryFormatError(
+                        path, line_no, f"id must be a non-empty string, got {tid!r}"
+                    )
+                # JSON true and false load as bools, which are ints to isinstance.
+                if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lat, lon)):
+                    raise RegistryFormatError(
+                        path, line_no, f"lat and lon must be numbers, got {lat!r}, {lon!r}"
+                    )
+                if not isinstance(contacts, list) or not all(isinstance(a, str) for a in contacts):
+                    raise RegistryFormatError(
+                        path, line_no, f"contact_of must be a list of account ids, got {contacts!r}"
+                    )
                 try:
                     reg.add(tid, GeoPoint(float(lat), float(lon)), contacts)
                 except ValueError as exc:
@@ -343,17 +466,25 @@ class TargetRegistry:
 class Service:
     """The proximity service proper.
 
-    A search classifies only the targets that `TargetRegistry.near` returns
-    for the listing reach: the largest class plus the listing margin plus
-    the largest snap displacement of a target, so its cost follows the
-    number of nearby targets, not the registry size. Each target is snapped
-    once per registry record; a snapped point is reused only while the
-    registry still holds the record it came from, and `move` replaces the
-    record, so a moved target is never classified from its old position.
-    Per-account state is mutated under a per-account lock so a threaded
-    server can serialize admissions per account while distance computation
-    stays lock-free. One table maps each account to its state and its lock;
-    a search reads it without a lock, and only the first use of an account
+    A search walks the registry's blocks within the listing reach (the
+    largest class plus the listing margin plus the largest snap
+    displacement of a target) nearest first, through `TargetRegistry.walk`,
+    and stops once no block it has not visited can change the truncated
+    listing: when the rest of the walk lies farther than the distance cut
+    of the class of the max_results-th entry so far, plus the largest snap
+    displacement, every target left classifies above that class. Its cost
+    follows the number of targets needed to fill max_results, or those
+    within reach when fewer are, not the registry size.
+
+    Each target is snapped once per registry record; a snapped point is
+    reused only while the registry still holds the record it came from,
+    and `move` replaces the record, so a moved target is never classified
+    from its old position. Per-account state is mutated under a
+    per-account lock so a threaded server can serialize admissions per
+    account. The walk then runs under the registry's lock, so one search
+    sees one registry state; under the GIL that costs a threaded server no
+    throughput. One table maps each account to its state and its lock; a
+    search reads it without a lock, and only the first use of an account
     takes the table's guard, so two threads never create two states for
     one account.
     """
@@ -369,6 +500,8 @@ class Service:
     ):
         if admission not in ("standard", "anchored"):
             raise ValueError(f"unknown admission policy {admission!r}")
+        if max_results < 1:
+            raise ValueError("max_results must be at least 1")
         self.registry = registry
         self.quantizer = quantizer or Quantizer()
         self.daily_quota = daily_quota
@@ -386,6 +519,16 @@ class Service:
             + math.sqrt(2.0) * self.quantizer.grid_deg * METERS_PER_DEGREE
         )
         self._snapped: dict[str, tuple[TargetRecord, GeoPoint]] = {}
+        # Snapping moves a target by at most half of grid_deg in latitude and
+        # in longitude, so by the haversine formula by at most
+        # 2R asin(sqrt(2) sin(grid_deg / 4)); a millimetre more covers the
+        # rounding of block indices and of `distance`. A target whose block
+        # lies farther than a class's cutoff plus that from the snapped query
+        # point classifies above the class.
+        snap_m = 2.0 * EARTH_RADIUS_M * asin(
+            min(1.0, math.sqrt(2.0) * sin(self.quantizer.grid_deg * RADIANS_PER_DEGREE / 4.0))
+        )
+        self._stop_at = {c: cutoff + snap_m + 1e-3 for c, cutoff in CLASS_CUTOFF_M.items()}
 
     # -- account state ----------------------------------------------------
 
@@ -455,18 +598,30 @@ class Service:
         st, lock = self._account_entry(account_id)
         with lock:
             self._admit(st, pos, ts)
+        quantizer = self.quantizer
         snapped = self._snapped
+        stop_at = self._stop_at
+        k = self.max_results
         out: list[tuple[str, int]] = []
-        for rec in self.registry.near(query_pt, self._reach_m):
-            entry = snapped.get(rec.id)
-            if entry is None or entry[0] is not rec:
-                entry = snapped[rec.id] = (rec, self.quantizer.snap_point(rec.pos))
-            d = distance(query_pt, entry[1])
-            cls = classify(d, account_id in rec.contact_of)
-            if cls is not None:
-                out.append((rec.id, cls))
-        out.sort(key=lambda e: (e[1], e[0]))
-        return out[: self.max_results]
+        registry = self.registry
+        with registry._lock:
+            for group, rest_m in registry.walk(query_pt, self._reach_m):
+                for rec in group:
+                    entry = snapped.get(rec.id)
+                    if entry is None or entry[0] is not rec:
+                        entry = snapped[rec.id] = (rec, quantizer.snap_point(rec.pos))
+                    cls = classify(distance(query_pt, entry[1]), account_id in rec.contact_of)
+                    if cls is not None:
+                        out.append((rec.id, cls))
+                # Once every record not yet seen classifies above the class
+                # of the k-th entry, the listing is final.
+                if len(out) >= k and rest_m > stop_at[sorted(map(_CLASS, out))[k - 1]]:
+                    break
+        # By class, then id: two stable sorts on one-type keys are about
+        # twice as fast as one sort on (class, id) keys.
+        out.sort(key=_ID)
+        out.sort(key=_CLASS)
+        return out[:k]
 
 
 class LocalClient:

@@ -369,6 +369,11 @@ class TestSearch:
         out = svc.search("a", GeoPoint(0.0, 0.0), 0.0)
         assert len(out) == 100
 
+    def test_max_results_below_one_rejected(self):
+        for max_results in (0, -1):
+            with pytest.raises(ValueError):
+                make_service([("t", GeoPoint(0, 0))], max_results=max_results)
+
     def test_out_of_range_target_not_listed(self):
         svc = make_service([("t", GeoPoint(0.0, 0.3))])  # ~33 km away
         assert svc.search("a", GeoPoint(0.0, 0.0), 0.0) == []
@@ -517,6 +522,83 @@ class TestIndexedSearch:
             within = {rec.id for rec in registry.iter_sorted() if distance(q, rec.pos) <= radius}
             assert within <= set(got)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        lat=st.one_of(st.floats(-84.9, 84.9), st.floats(84.0, 84.9), st.floats(-84.9, -84.0)),
+        lon_band=LON_BANDS,
+        n_targets=st.integers(1_000, 3_000),
+        disc_m=st.sampled_from([3_000.0, 15_000.0]),
+        clustered=st.booleans(),
+        grid_deg=st.sampled_from([0.005, 0.0125, 0.05]),
+        max_results=st.sampled_from([1, 5, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_registry_equals_brute_force_scan(
+        self, lat, lon_band, n_targets, disc_m, clustered, grid_deg, max_results, seed
+    ):
+        # Thousands of targets in a disc fill a listing long before the
+        # walk runs out of blocks, so the early stop decides; a 3 km disc
+        # occupies few enough blocks that the walk places each occupied
+        # block in its ring instead of looking the window up. clustered
+        # puts the targets in 30 tight clusters, so many of them share the
+        # class of the k-th entry and ties by id straddle the stop; ids
+        # are shuffled so that id order says nothing about distance.
+        rng = random.Random(seed)
+        center = GeoPoint(lat, rng.uniform(*lon_band))
+
+        def around(radius_m: float, origin: GeoPoint = center) -> GeoPoint:
+            return _clamped(destination(origin, rng.uniform(0.0, 360.0), radius_m * rng.random() ** 0.5))
+
+        clusters = [around(disc_m) for _ in range(30)]
+        ids = [f"t{k:04d}" for k in range(n_targets)]
+        rng.shuffle(ids)
+        registry = TargetRegistry()
+        for tid in ids:
+            pos = around(150.0, rng.choice(clusters)) if clustered else around(disc_m)
+            registry.add(tid, pos, [a for a in ACCOUNTS[:2] if rng.random() < 0.02])
+        svc = Service(registry, Quantizer(grid_deg), max_results=max_results, speed_limit_mps=math.inf)
+        for step in range(6):
+            if step % 2 == 1:
+                tid = rng.choice(ids)
+                moved = destination(registry.position(tid), rng.uniform(0.0, 360.0), 3_000.0)
+                registry.move(tid, _clamped(moved))
+            account = rng.choice(ACCOUNTS)
+            pos = around(disc_m + 1_000.0)
+            assert svc.search(account, pos, float(step)) == brute_force_search(svc, account, pos)
+
+    def test_early_stop_classifies_fewer_records_than_near_returns(self, monkeypatch):
+        rng = random.Random(5)
+        center = GeoPoint(40.0, -3.0)
+        registry = TargetRegistry()
+        for k in range(2_000):
+            dist = 15_000.0 * rng.random() ** 0.5
+            registry.add(f"t{k:04d}", destination(center, rng.uniform(0.0, 360.0), dist))
+        svc = Service(registry)
+        calls = []
+
+        def counting_classify(d_m, contact=False):
+            calls.append(d_m)
+            return classify(d_m, contact)
+
+        monkeypatch.setattr(service, "classify", counting_classify)
+        out = svc.search("a", center, 0.0)
+        near = svc.registry.near(svc.quantizer.snap_point(center), svc._reach_m)
+        assert len(out) == 100
+        assert 100 <= len(calls) < len(near)
+        assert out == brute_force_search(svc, "a", center)
+
+    def test_early_stop_allows_for_the_snap_displacement(self):
+        # On a 0.2 deg grid, "a" lies 11.1 km north of the querier, eight
+        # whole block rows away, yet snaps onto the querier's node, so it
+        # shares the 500 m class with "b" and wins the single slot by id.
+        # A stop that allowed for less than the whole snap displacement
+        # would end the walk after "b".
+        q = Quantizer(0.2)
+        a = GeoPoint(0.0999, 0.001)
+        assert q.snap(a) == q.snap(GeoPoint(0.0, 0.0)) == GridNode(0, 0)
+        svc = make_service([("a", a), ("b", GeoPoint(0.0, 0.0))], quantizer=q, max_results=1)
+        assert svc.search("x", GeoPoint(0.0, 0.0), 0.0) == [("a", 500)]
+
     def test_polar_registry_position_rejected(self):
         registry = TargetRegistry()
         registry.add("t", GeoPoint(0.0, 0.0))
@@ -596,7 +678,9 @@ class TestIndexedSearch:
         def searcher(account: str) -> None:
             try:
                 for k in range(300):
-                    svc.search(account, center, float(k))
+                    out = svc.search(account, center, float(k))
+                    assert len({tid for tid, _ in out}) == len(out)
+                    assert out == sorted(out, key=lambda e: (e[1], e[0]))
                     assert len(registry.near(center, 20_000.0)) == 50
             except BaseException as exc:
                 errors.append(exc)
@@ -694,6 +778,28 @@ class TestRegistryFile:
         with pytest.raises(RegistryFormatError) as ei:
             TargetRegistry.from_jsonl(str(path))
         assert ei.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ('{"id": "t", "lat": true, "lon": 0}', "lat and lon must be numbers"),
+            ('{"id": "t", "lat": 0, "lon": false}', "lat and lon must be numbers"),
+            ('{"id": 7, "lat": 0, "lon": 0}', "id must be a non-empty string"),
+            ('{"id": null, "lat": 0, "lon": 0}', "id must be a non-empty string"),
+            ('{"id": "", "lat": 0, "lon": 0}', "id must be a non-empty string"),
+            ('{"id": "t", "lat": 0, "lon": 0, "contact_of": [1]}', "contact_of must be a list of account ids"),
+            ('{"id": "t", "lat": 0, "lon": 0, "contact_of": ["a", null]}', "contact_of must be a list of account ids"),
+            ('{"id": "t", "lat": 0, "lon": 0, "contact_of": "a"}', "contact_of must be a list of account ids"),
+            ('{"id":"t","lat":true,"lon":false,"contact_of":[1,null]}', "lat and lon must be numbers"),
+        ],
+    )
+    def test_malformed_field_reports_path_and_line(self, tmp_path, record, reason):
+        path = tmp_path / "targets.jsonl"
+        path.write_text('{"id": "ok", "lat": 0, "lon": 0}\n' + record + "\n")
+        with pytest.raises(RegistryFormatError) as ei:
+            TargetRegistry.from_jsonl(str(path))
+        assert ei.value.line_no == 2
+        assert str(ei.value).startswith(f"{path}:2: {reason}")
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "targets.jsonl"
