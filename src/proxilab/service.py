@@ -348,8 +348,6 @@ class TargetRegistry:
             # Ring k's blocks are k rows away or beyond ring_cols[k - 1]
             # columns, so at least k - 1 whole rows or ring_cols[k - 1]
             # whole columns lie between them and center's block.
-            if k < 2:
-                return 0.0
             if k >= len(ring_cols):
                 return math.inf
             cols = min(ring_cols[k - 1], max_dc)
