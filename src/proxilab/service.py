@@ -508,25 +508,18 @@ class Service:
         self.admission = admission
         self._accounts: dict[str, tuple[AccountState, threading.Lock]] = {}
         self._guard = threading.Lock()
-        # Snapping moves a target by at most half a cell diagonal, and a
-        # cell is never wider than grid_deg of equator; the reach allows a
-        # whole diagonal, the other half as margin.
-        self._reach_m = (
-            max(DISTANCE_CLASSES_M)
-            + LISTING_MARGIN_M
-            + math.sqrt(2.0) * self.quantizer.grid_deg * METERS_PER_DEGREE
-        )
-        self._snapped: dict[str, tuple[TargetRecord, GeoPoint]] = {}
         # Snapping moves a target by at most half of grid_deg in latitude and
         # in longitude, so by the haversine formula by at most
         # 2R asin(sqrt(2) sin(grid_deg / 4)); a millimetre more covers the
-        # rounding of block indices and of `distance`. A target whose block
-        # lies farther than a class's cutoff plus that from the snapped query
-        # point classifies above the class.
+        # rounding of block indices and of `distance`. A target farther than
+        # a class's cutoff plus that from the snapped query point classifies
+        # above the class, and one beyond the reach is not listed.
         snap_m = 2.0 * EARTH_RADIUS_M * asin(
             min(1.0, math.sqrt(2.0) * sin(self.quantizer.grid_deg * RADIANS_PER_DEGREE / 4.0))
-        )
-        self._stop_at = {c: cutoff + snap_m + 1e-3 for c, cutoff in CLASS_CUTOFF_M.items()}
+        ) + 1e-3
+        self._reach_m = max(DISTANCE_CLASSES_M) + LISTING_MARGIN_M + snap_m
+        self._stop_at = {c: cutoff + snap_m for c, cutoff in CLASS_CUTOFF_M.items()}
+        self._snapped: dict[str, tuple[TargetRecord, GeoPoint]] = {}
 
     # -- account state ----------------------------------------------------
 
