@@ -113,6 +113,13 @@ def check_lat(lat: float) -> None:
         )
 
 
+def is_number(value) -> bool:
+    """True for a number read from JSON: an int or a float, but not JSON
+    true or false, which load as bools, ints to isinstance. Finiteness is
+    the caller's to check."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def to_mercator(p: GeoPoint) -> MercatorPoint:
     """Project to Web-Mercator degree units. Valid for |lat| < 85.06 deg."""
     check_lat(p.lat)

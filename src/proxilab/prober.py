@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .geo import GeoPoint, destination, distance, midpoint
+from .geo import GeoPoint, destination, distance, is_number, midpoint
 from .service import DEFAULT_SPEED_LIMIT_MPS, QueryRejected
 
 INNER_CLASS_M = 500
@@ -367,17 +367,8 @@ def write_transitions(path: str, tset: TransitionSet, config: dict | None = None
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-# JSON true and false load as bools, which are ints to isinstance.
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
 def _read_point(value, where: str) -> GeoPoint:
-    if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)):
+    if not (isinstance(value, list) and len(value) == 2 and all(is_number(v) for v in value)):
         raise ValueError(f"{where}: expected a [lat, lon] pair of numbers, got {value!r}")
     try:
         return GeoPoint(value[0], value[1])
@@ -416,7 +407,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
                 target = rec.get("target")
                 for key in ("total_queries", "exploration_queries"):
                     count = rec.get(key, 0)
-                    if not _is_int(count) or count < 0:
+                    if type(count) is not int or count < 0:  # a bool is an int to isinstance
                         raise ValueError(f"{where}: {key} must be a non-negative int, got {count!r}")
                 if not isinstance(rec.get("budget_exhausted", False), bool):
                     raise ValueError(f"{where}: budget_exhausted must be a bool, got {rec['budget_exhausted']!r}")
@@ -425,7 +416,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             inside = _read_point(_field(rec, "inside", where), f"{where}: inside")
             outside = _read_point(_field(rec, "outside", where), f"{where}: outside")
             bearing = _field(rec, "bearing", where)
-            if not _is_number(bearing) or not math.isfinite(bearing):
+            if not is_number(bearing) or not math.isfinite(bearing):
                 raise ValueError(f"{where}: bearing must be a finite number, got {bearing!r}")
             dir_value = _field(rec, "dir", where)
             try:
@@ -433,7 +424,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             except ValueError as exc:
                 raise ValueError(f"{where}: dir: {exc}") from exc
             queries = _field(rec, "queries", where)
-            if not _is_int(queries):
+            if type(queries) is not int:
                 raise ValueError(f"{where}: queries must be an int, got {queries!r}")
             transitions.append(Transition(inside, outside, bearing, direction, queries))
     if target is None:

@@ -16,9 +16,10 @@ import json
 import math
 import threading
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
-from math import asin, atan, cos, exp, floor, log, sin, tan
+from math import asin, atan, cos, exp, floor, log, sin, sqrt, tan
 from operator import itemgetter
 
 from .geo import (
@@ -32,6 +33,7 @@ from .geo import (
     check_lat,
     distance,
     from_mercator,
+    is_number,
     to_mercator,
 )
 
@@ -161,6 +163,21 @@ DEFAULT_CLASS_TABLE = tuple(
 )
 
 
+# Per contact flag, the cuts of `classify`: a distance up to cuts[k], and
+# above cuts[k - 1], classifies to the k-th allowed class. The cuts are the
+# midpoints between neighbouring classes, then the last class plus the
+# listing margin; past that, the padding None means not listed. For integer
+# classes L < U the midpoint is exact, and so are d - L and U - d for d near
+# it, so `d <= (L + U) / 2` is the nearest-class rule with ties to L.
+_CLASS_CUTS = tuple(
+    (
+        (*((lo + hi) / 2.0 for lo, hi in zip(allowed, allowed[1:])), allowed[-1] + LISTING_MARGIN_M),
+        (*allowed, None),
+    )
+    for allowed in DEFAULT_CLASS_TABLE
+)
+
+
 def classify(d_m: float, contact: bool = False) -> int | None:
     """Bucket a distance into the nearest allowed class of
     `DEFAULT_CLASS_TABLE`.
@@ -171,39 +188,21 @@ def classify(d_m: float, contact: bool = False) -> int | None:
     """
     if d_m < 0:
         raise ValueError("distance must be non-negative")
-    allowed = DEFAULT_CLASS_TABLE[1 if contact else 0]
-    if d_m > allowed[-1] + LISTING_MARGIN_M:
-        return None
-    k = bisect_left(allowed, d_m)
-    if k == 0:
-        return allowed[0]
-    if k == len(allowed):
-        return allowed[-1]
-    # Only the two neighbours can be nearest; comparing them as below is the
-    # (|d - c|, c) ordering, so a tie goes to the smaller class.
-    lower, upper = allowed[k - 1], allowed[k]
-    return lower if d_m - lower <= upper - d_m else upper
+    cuts, classes = _CLASS_CUTS[1 if contact else 0]
+    return classes[bisect_left(cuts, d_m)]
 
 
-def _class_cutoffs() -> dict[int, float]:
-    """For each class c, the largest distance that `classify` maps to a
-    class <= c, for either contact flag: the midpoint to the next allowed
-    class (a tie goes to the smaller class), or the listing margin past
-    the last one."""
-    cutoffs = {}
-    for c in sorted(set().union(*DEFAULT_CLASS_TABLE)):
-        reach = []
-        for allowed in DEFAULT_CLASS_TABLE:
-            k = bisect_right(allowed, c)
-            if k == len(allowed):
-                reach.append(allowed[-1] + LISTING_MARGIN_M)
-            elif k:
-                reach.append((allowed[k - 1] + allowed[k]) / 2.0)
-        cutoffs[c] = max(reach)
-    return cutoffs
-
-
-CLASS_CUTOFF_M = _class_cutoffs()
+# For each class c in ascending order, the largest distance that `classify`
+# maps to a class <= c, for either contact flag: the cut of the largest
+# allowed class <= c.
+CLASS_CUTOFF_M = {
+    c: max(
+        cuts[bisect_right(allowed, c) - 1]
+        for allowed, (cuts, _) in zip(DEFAULT_CLASS_TABLE, _CLASS_CUTS)
+        if allowed[0] <= c
+    )
+    for c in sorted(set().union(*DEFAULT_CLASS_TABLE))
+}
 _ID, _CLASS = itemgetter(0), itemgetter(1)  # fields of a (target id, class) entry
 
 
@@ -445,8 +444,7 @@ class TargetRegistry:
                     raise RegistryFormatError(
                         path, line_no, f"id must be a non-empty string, got {tid!r}"
                     )
-                # JSON true and false load as bools, which are ints to isinstance.
-                if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (lat, lon)):
+                if not (is_number(lat) and is_number(lon)):
                     raise RegistryFormatError(
                         path, line_no, f"lat and lon must be numbers, got {lat!r}, {lon!r}"
                     )
@@ -472,19 +470,27 @@ class Service:
     of the class of the max_results-th entry so far, plus the largest snap
     displacement, every target left classifies above that class. Its cost
     follows the number of targets needed to fill max_results, or those
-    within reach when fewer are, not the registry size.
+    within reach when fewer are, not the registry size. Once the listing
+    holds max_results entries, a count of entries per class, updated ring
+    by ring, gives that class without a sort, and the entries above it are
+    dropped before the listing is sorted.
 
-    Each target is snapped once per registry record; a snapped point is
-    reused only while the registry still holds the record it came from,
-    and `move` replaces the record, so a moved target is never classified
-    from its old position. Per-account state is mutated under a
-    per-account lock so a threaded server can serialize admissions per
-    account. The walk then runs under the registry's lock, so one search
-    sees one registry state; under the GIL that costs a threaded server no
-    throughput. One table maps each account to its state and its lock; a
-    search reads it without a lock, and only the first use of an account
-    takes the table's guard, so two threads never create two states for
-    one account.
+    Each target is snapped once per registry record, into an entry of the
+    record, the snapped latitude and longitude and the cosine of that
+    latitude; an entry is reused only while the registry still holds the
+    record it came from, and `move` replaces the record, so a moved target
+    is never classified from its old position. The search takes the
+    haversine distance to each entry inline, with the bits of
+    `geo.distance` between the snapped points, and hands it to `classify`,
+    one bisection of a table of class cuts.
+
+    Per-account state is mutated under a per-account lock so a threaded
+    server can serialize admissions per account. The walk then runs under
+    the registry's lock, so one search sees one registry state; under the
+    GIL that costs a threaded server no throughput. One table maps each
+    account to its state and its lock; a search reads it without a lock,
+    and only the first use of an account takes the table's guard, so two
+    threads never create two states for one account.
     """
 
     def __init__(
@@ -519,7 +525,7 @@ class Service:
         ) + 1e-3
         self._reach_m = max(DISTANCE_CLASSES_M) + LISTING_MARGIN_M + snap_m
         self._stop_at = {c: cutoff + snap_m for c, cutoff in CLASS_CUTOFF_M.items()}
-        self._snapped: dict[str, tuple[TargetRecord, GeoPoint]] = {}
+        self._snapped: dict[str, tuple[TargetRecord, float, float, float]] = {}
 
     # -- account state ----------------------------------------------------
 
@@ -594,20 +600,46 @@ class Service:
         stop_at = self._stop_at
         k = self.max_results
         out: list[tuple[str, int]] = []
+        counts = None  # entries per class, once out holds k of them
+        q_lat, q_lon = query_pt.lat, query_pt.lon
+        cos_q = cos(q_lat * RADIANS_PER_DEGREE)
+        two_r = 2.0 * EARTH_RADIUS_M
         registry = self.registry
         with registry._lock:
             for group, rest_m in registry.walk(query_pt, self._reach_m):
+                seen = len(out)
                 for rec in group:
                     entry = snapped.get(rec.id)
                     if entry is None or entry[0] is not rec:
-                        entry = snapped[rec.id] = (rec, quantizer.snap_point(rec.pos))
-                    cls = classify(distance(query_pt, entry[1]), account_id in rec.contact_of)
+                        p = quantizer.snap_point(rec.pos)
+                        entry = snapped[rec.id] = (rec, p.lat, p.lon, cos(p.lat * RADIANS_PER_DEGREE))
+                    _, b_lat, b_lon, cos_b = entry
+                    # geo.distance(query_pt, snapped point), operation for
+                    # operation, with both cosines taken beforehand.
+                    dphi = (b_lat - q_lat) * RADIANS_PER_DEGREE
+                    dlam = ((b_lon - q_lon + 180.0) % 360.0 - 180.0) * RADIANS_PER_DEGREE
+                    h = sin(dphi / 2.0) ** 2 + cos_q * cos_b * sin(dlam / 2.0) ** 2
+                    cls = classify(two_r * asin(min(1.0, sqrt(h))), account_id in rec.contact_of)
                     if cls is not None:
                         out.append((rec.id, cls))
-                # Once every record not yet seen classifies above the class
-                # of the k-th entry, the listing is final.
-                if len(out) >= k and rest_m > stop_at[sorted(map(_CLASS, out))[k - 1]]:
+                if len(out) < k:
+                    continue
+                if counts is None:
+                    counts = Counter(map(_CLASS, out))
+                else:
+                    counts.update(map(_CLASS, out[seen:]))
+                # The class of the k-th entry; once every record not yet
+                # seen classifies above it, the listing is final.
+                listed = 0
+                for kth in CLASS_CUTOFF_M:
+                    listed += counts[kth]
+                    if listed >= k:
+                        break
+                if rest_m > stop_at[kth]:
                     break
+        if counts is not None:
+            # Only entries up to the k-th entry's class can make the cut.
+            out = [e for e in out if e[1] <= kth]
         # By class, then id: two stable sorts on one-type keys are about
         # twice as fast as one sort on (class, id) keys.
         out.sort(key=_ID)

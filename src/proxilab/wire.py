@@ -16,7 +16,7 @@ import socket
 import socketserver
 import threading
 
-from .geo import GeoPoint, ProjectionDomainError
+from .geo import GeoPoint, ProjectionDomainError, is_number
 from .service import (
     AreaRestrictedError,
     FloodWaitError,
@@ -67,10 +67,6 @@ def decode(line: bytes | str) -> dict:
     return msg
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def decode_request(line: bytes | str) -> dict:
     """Decode and validate a search request line."""
     msg = decode(line)
@@ -83,11 +79,12 @@ def decode_request(line: bytes | str) -> dict:
         raise DecodeError(f"unsupported request type {msg['type']!r}")
     if not isinstance(msg["account"], str) or not msg["account"]:
         raise DecodeError("account must be a non-empty string")
-    if not _is_number(msg["lat"]) or not -90.0 <= msg["lat"] <= 90.0:
+    # The range check also rejects a non-finite lat.
+    if not is_number(msg["lat"]) or not -90.0 <= msg["lat"] <= 90.0:
         raise DecodeError("lat must be a number in [-90, 90]")
-    if not _is_number(msg["lon"]):
+    if not is_number(msg["lon"]) or not math.isfinite(msg["lon"]):
         raise DecodeError("lon must be a number")
-    if not _is_number(msg["ts"]):
+    if not is_number(msg["ts"]) or not math.isfinite(msg["ts"]):
         raise DecodeError("ts must be a number")
     return msg
 
@@ -229,7 +226,10 @@ class TcpClient:
     def search(self, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:
         resp = self.request(make_search(self.account, pos, ts))
         if resp.get("type") == "result":
-            return [(e["id"], e["class_m"]) for e in resp["entries"]]
+            try:
+                return [(e["id"], e["class_m"]) for e in resp["entries"]]
+            except (KeyError, TypeError) as exc:
+                raise ProtocolError(f"malformed result entries: {exc!r}") from exc
         if resp.get("type") == "error":
             code = resp.get("code")
             retry = resp.get("retry_after_s", 0.0)

@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,36 @@ class TestClassify:
         if d <= max(allowed) + 500.0:
             expected = min(allowed, key=lambda c: (abs(d - c), c))
         assert classify(d, contact=contact) == expected
+
+    def test_cut_table_equals_the_two_neighbour_rule_within_2000_ulps(self):
+        # classify's former rule: bisect the classes, then compare the two
+        # neighbours of d, a tie to the smaller class.
+        def two_neighbour(d: float, allowed: tuple) -> int | None:
+            if d > allowed[-1] + 500.0:
+                return None
+            k = bisect_left(allowed, d)
+            if k == 0:
+                return allowed[0]
+            if k == len(allowed):
+                return allowed[-1]
+            lower, upper = allowed[k - 1], allowed[k]
+            return lower if d - lower <= upper - d else upper
+
+        centres = {float(c) for c in DISTANCE_CLASSES_M} | {12_500.0}
+        for allowed in DEFAULT_CLASS_TABLE:
+            centres |= {(lo + hi) / 2.0 for lo, hi in zip(allowed, allowed[1:])}
+        points = []
+        for c in centres:
+            up = down = c
+            points.append(c)
+            for _ in range(2_000):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                points += (up, down)
+        assert len(points) == 28 * 4_001
+        for contact in (False, True):
+            allowed = DEFAULT_CLASS_TABLE[contact]
+            mismatches = [d for d in points if classify(d, contact) != two_neighbour(d, allowed)]
+            assert mismatches == []
 
     def test_not_listed_beyond_cutoff(self):
         assert classify(12_500.0) == 12_000
@@ -586,6 +617,57 @@ class TestIndexedSearch:
         assert len(out) == 100
         assert 100 <= len(calls) < len(near)
         assert out == brute_force_search(svc, "a", center)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lat_band=LAT_BANDS,
+        lon_band=LON_BANDS,
+        n_targets=st.integers(1, 400),
+        grid_deg=st.sampled_from([0.005, 0.0125, 0.05]),
+        max_results=st.sampled_from([1, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classify_gets_the_geo_distance_bit_for_bit(
+        self, lat_band, lon_band, n_targets, grid_deg, max_results, seed
+    ):
+        # search inlines geo.distance between the snapped points; every
+        # distance it hands to classify must carry the same bits, in the
+        # order near() lists the records, up to where the walk stops.
+        rng = random.Random(seed)
+        center = GeoPoint(rng.uniform(*lat_band), rng.uniform(*lon_band))
+
+        def around(radius_m: float) -> GeoPoint:
+            return _clamped(destination(center, rng.uniform(0.0, 360.0), radius_m * rng.random() ** 0.5))
+
+        registry = TargetRegistry()
+        for k in range(n_targets):
+            registry.add(f"t{k:03d}", around(14_000.0), [a for a in ACCOUNTS[:2] if rng.random() < 0.2])
+        q = Quantizer(grid_deg)
+        svc = Service(registry, q, max_results=max_results, speed_limit_mps=math.inf)
+        calls = []
+
+        def recording_classify(d_m, contact=False):
+            calls.append((d_m.hex(), contact))
+            return classify(d_m, contact)
+
+        classified = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(service, "classify", recording_classify)
+            for step in range(6):
+                if step % 2 == 1:
+                    registry.move(f"t{rng.randrange(n_targets):03d}", around(14_000.0))
+                account, pos = rng.choice(ACCOUNTS), around(3_000.0)
+                calls.clear()
+                out = svc.search(account, pos, float(step))
+                query_pt = q.snap_point(pos)
+                expected = [
+                    (distance(query_pt, q.snap_point(rec.pos)).hex(), account in rec.contact_of)
+                    for rec in registry.near(query_pt, svc._reach_m)
+                ]
+                # A listing short of max_results walked every record.
+                assert calls == (expected if len(out) < max_results else expected[: len(calls)])
+                classified += len(calls)
+        assert classified > 0
 
     def test_early_stop_allows_for_the_snap_displacement(self):
         # On a 0.2 deg grid, "a" lies 11.1 km north of the querier, eight

@@ -11,6 +11,7 @@ import pytest
 from proxilab.geo import GeoPoint
 from proxilab.service import (
     FloodWaitError,
+    ProtocolError,
     Quantizer,
     Service,
     SpeedBanError,
@@ -229,3 +230,34 @@ class TestServer:
         for t in threads:
             t.join()
         assert errors == []
+
+
+def one_shot_server(reply: bytes):
+    """A stdlib socket server that reads one request line, answers it with
+    `reply` and closes; returns its address and its thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)  # a test that never connects frees the thread
+
+    def serve():
+        with listener, listener.accept()[0] as conn, conn.makefile("rb") as rfile:
+            rfile.readline()
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+class TestClientResponses:
+    @pytest.mark.parametrize(
+        "entries",
+        [[{"id": "t"}], 5, ["t"]],
+        ids=["entry_without_class_m", "entries_not_a_list", "entry_not_an_object"],
+    )
+    def test_malformed_result_raises_protocol_error(self, entries):
+        (host, port), thread = one_shot_server(encode({"v": 1, "type": "result", "entries": entries}))
+        with TcpClient(host, port, "a", timeout=10.0) as client:
+            with pytest.raises(ProtocolError, match="malformed result"):
+                client.search(GeoPoint(0, 0), 0.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
