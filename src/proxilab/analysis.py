@@ -415,7 +415,7 @@ def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_
     last unshifted and first shifted rung, so the estimate error is bounded
     by step / (TILE_SHIFTS - 1).
     """
-    if step <= 0:
+    if not step > 0:  # NaN too
         raise ValueError("step must be positive")
     threshold = 5.0 * lab.cfg.accuracy  # real shifts are >= one tile, far above jitter
     # Accumulated as in `ladder`, so every rung offset has the same bits.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -82,14 +83,29 @@ def _parse_point(text: str) -> GeoPoint:
         raise argparse.ArgumentTypeError(f"expected lat,lon degrees, got {text!r}") from exc
 
 
-def _parse_runs(text: str) -> int:
+def _parse_count(text: str, minimum: int = 1) -> int:
     try:
-        runs = int(text)
+        count = int(text)
     except ValueError:
-        runs = None
-    if runs is None or runs < MIN_FIGURE_RUNS:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least {MIN_FIGURE_RUNS}, got {text!r}")
-    return runs
+        count = None
+    if count is None or count < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {text!r}")
+    return count
+
+
+def _parse_runs(text: str) -> int:
+    return _parse_count(text, MIN_FIGURE_RUNS)
+
+
+def _parse_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # False for NaN, which every comparison downstream would pass over.
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -148,6 +164,11 @@ def cmd_attack(args) -> int:
         print("error: either --endpoint or --targets is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        probe_config = config.probe_config()
+    except ValueError as exc:  # --jump not above --accuracy
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         client, registry, closer = _attack_client(args, config)
     except RegistryFormatError as exc:
         print(f"error: bad registry {exc}", file=sys.stderr)
@@ -171,7 +192,7 @@ def cmd_attack(args) -> int:
                 client,
                 args.target,
                 hint=hint,
-                cfg=config.probe_config(),
+                cfg=probe_config,
                 n_transitions=config.transitions,
                 rng=random.Random(config.seed),
             )
@@ -358,17 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p, name: str, help: str | None = None) -> None:
-        """Flag for one ExperimentConfig field, typed and defaulted by the
-        field's default; _config_from_args reads back exactly these."""
+    def add_config(p, name: str, help: str | None = None, parse=None) -> None:
+        """Flag for one ExperimentConfig field, defaulted by the field's
+        default and, unless `parse` says otherwise, typed by it: a count of
+        at least 1, or a finite positive float. _config_from_args reads
+        back exactly these flags."""
         default = getattr(defaults, name)
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default, help=help)
+        if parse is None:
+            parse = _parse_count if type(default) is int else _parse_positive
+        p.add_argument("--" + name.replace("_", "-"), type=parse, default=default, help=help)
         p.set_defaults(config_fields=(p.get_default("config_fields") or ()) + (name,))
 
     grid_help = "tessellation pitch in Mercator degrees"
 
     def add_common(p) -> None:
-        add_config(p, "seed", f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+        add_config(p, "seed", f"RNG seed (default ${SEED_ENV_VAR} or 0)", parse=int)
         # argparse converts a string default with `type`, so a malformed
         # $PROXILAB_SEED is a usage error like a malformed --seed.
         p.set_defaults(seed=os.environ.get(SEED_ENV_VAR, defaults.seed))

@@ -99,10 +99,11 @@ class ProbeConfig:
     speed_limit: float = DEFAULT_SPEED_LIMIT_MPS
 
     def __post_init__(self) -> None:
-        if self.accuracy <= 0:
+        # Negated so that NaN fails too; an infinite jump lands nowhere.
+        if not self.accuracy > 0:
             raise ValueError("accuracy must be positive")
-        if self.jump <= self.accuracy:
-            raise ValueError("jump must exceed accuracy")
+        if not self.accuracy < self.jump < math.inf:
+            raise ValueError("jump must exceed accuracy and be finite")
 
 
 @dataclass
@@ -398,8 +399,8 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             where = f"{path}:{line_no}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+                raise ValueError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
             if not isinstance(rec, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
             if rec.get("type") == "meta":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
@@ -122,8 +122,9 @@ class Quantizer:
     """
 
     def __init__(self, grid_deg: float = DEFAULT_GRID_DEG):
-        if grid_deg <= 0:
-            raise ValueError("grid_deg must be positive")
+        # Negated so that NaN fails too; an infinite pitch snaps to NaN.
+        if not 0.0 < grid_deg < math.inf:
+            raise ValueError("grid_deg must be finite and positive")
         self.grid_deg = grid_deg
 
     def snap(self, p: GeoPoint) -> GridNode:
@@ -193,16 +194,10 @@ def classify(d_m: float, contact: bool = False) -> int | None:
 
 
 # For each class c in ascending order, the largest distance that `classify`
-# maps to a class <= c, for either contact flag: the cut of the largest
-# allowed class <= c.
-CLASS_CUTOFF_M = {
-    c: max(
-        cuts[bisect_right(allowed, c) - 1]
-        for allowed, (cuts, _) in zip(DEFAULT_CLASS_TABLE, _CLASS_CUTS)
-        if allowed[0] <= c
-    )
-    for c in sorted(set().union(*DEFAULT_CLASS_TABLE))
-}
+# maps to a class <= c, for either contact flag: a contact may be listed in
+# every class, and the upper cut of a class does not depend on the classes
+# below it, so these are the contact row's cuts.
+CLASS_CUTOFF_M = dict(zip(DEFAULT_CLASS_TABLE[1], _CLASS_CUTS[1][0]))
 _ID, _CLASS = itemgetter(0), itemgetter(1)  # fields of a (target id, class) entry
 
 
@@ -289,9 +284,10 @@ class TargetRegistry:
         The groups are rings of blocks about center's block: ring k holds
         the blocks at most k rows and about k / cos(lat_max) columns away
         that ring k - 1 does not, lat_max being the largest latitude in the
-        window, so the far part of the window is never looked up. A
-        registry of one record yields it whatever the cap, and a cap that
-        reaches a pole or spans half the longitudes is one group."""
+        window, so the far part of the window is never looked up. A cap
+        that reaches a pole or spans half the longitudes takes every
+        column, each counted the short way round from center's. A registry
+        of one record yields it whatever the cap."""
         if len(self._targets) == 1:
             return ((self._targets.values(), math.inf),)
         return self._rings(center, radius_m)
@@ -301,10 +297,15 @@ class TargetRegistry:
         get = blocks.get
         delta = radius_m / EARTH_RADIUS_M
         span = delta * DEGREES_PER_RADIAN
+        row_c = floor((center.lat + 90.0) / BLOCK_DEG)
+        col_c = floor((center.lon + 180.0) / BLOCK_DEG)
         row_lo = max(floor((center.lat - span + 90.0) / BLOCK_DEG) - 1, 0)
         row_hi = min(floor((center.lat + span + 90.0) / BLOCK_DEG) + 1, _BLOCK_ROWS - 1)
         # The window's columns run from col_lo to col_hi, modulo _BLOCK_COLS
-        # so they wrap at the antimeridian.
+        # so they wrap at the antimeridian. A cap that reaches a pole or
+        # spans half the longitudes takes every column, each offset from
+        # center's the short way round: an offset of at most half the
+        # columns still bounds the longitude difference.
         col_lo = col_hi = None
         if abs(center.lat) + span < 90.0:
             ratio = sin(delta) / cos(center.lat * RADIANS_PER_DEGREE)
@@ -313,21 +314,7 @@ class TargetRegistry:
                 col_lo = floor((center.lon - dlon + 180.0) / BLOCK_DEG) - 1
                 col_hi = floor((center.lon + dlon + 180.0) / BLOCK_DEG) + 1
         if col_lo is None or 2 * (col_hi - col_lo + 1) > _BLOCK_COLS:
-            # Whole rows; past half the longitudes a column offset is no
-            # longer a bound on the longitude difference.
-            group = []
-            if (row_hi - row_lo + 1) * _BLOCK_COLS > len(blocks):
-                for key, bucket in blocks.items():
-                    if row_lo <= key // _BLOCK_COLS <= row_hi:
-                        group.extend(bucket.values())
-            else:
-                keys = range(row_lo * _BLOCK_COLS, (row_hi + 1) * _BLOCK_COLS)
-                for bucket in filter(None, map(get, keys)):
-                    group.extend(bucket.values())
-            yield group, math.inf
-            return
-        row_c = floor((center.lat + 90.0) / BLOCK_DEG)
-        col_c = floor((center.lon + 180.0) / BLOCK_DEG)
+            col_lo, col_hi = col_c - _BLOCK_COLS // 2, col_c + _BLOCK_COLS // 2 - 1
         # Offsets of the window's rows and columns from center's block.
         dr_lo, dr_hi = row_lo - row_c, row_hi - row_c
         dc_lo, dc_hi = col_lo - col_c, col_hi - col_c
@@ -335,7 +322,9 @@ class TargetRegistry:
         # Every point of the window lies within lat_max of the equator, so
         # two of them g whole columns apart are at least
         # 2R asin(cos(lat_max) sin(g BLOCK_DEG / 2)) apart (haversine), and g
-        # whole rows apart at least g BLOCK_DEG degrees of arc.
+        # whole rows apart at least g BLOCK_DEG degrees of arc. A window that
+        # touches a pole has cos(lat_max) near 6e-17: its rings go by rows,
+        # and their bounds stay near 0, so the walk never stops early.
         lat_max = max(abs(row_lo * BLOCK_DEG - 90.0), abs((row_hi + 1) * BLOCK_DEG - 90.0))
         cos_max = cos(lat_max * RADIANS_PER_DEGREE)
         ring_cols = [0]  # ring k reaches ring_cols[k] columns out
@@ -429,8 +418,8 @@ class TargetRegistry:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RegistryFormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+                except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+                    raise RegistryFormatError(path, line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
                 if not isinstance(rec, dict):
                     raise RegistryFormatError(path, line_no, "record must be an object")
                 try:
@@ -523,8 +512,8 @@ class Service:
         snap_m = 2.0 * EARTH_RADIUS_M * asin(
             min(1.0, math.sqrt(2.0) * sin(self.quantizer.grid_deg * RADIANS_PER_DEGREE / 4.0))
         ) + 1e-3
-        self._reach_m = max(DISTANCE_CLASSES_M) + LISTING_MARGIN_M + snap_m
         self._stop_at = {c: cutoff + snap_m for c, cutoff in CLASS_CUTOFF_M.items()}
+        self._reach_m = self._stop_at[max(DISTANCE_CLASSES_M)]
         self._snapped: dict[str, tuple[TargetRecord, float, float, float]] = {}
 
     # -- account state ----------------------------------------------------

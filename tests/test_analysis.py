@@ -242,6 +242,11 @@ class TestTileSize:
         l_est = estimate_tile_size(SimulatorLab(), GeoPoint(71.3, 0.0), step=10.0)
         assert l_est == pytest.approx(EQ_CELL_M * math.cos(math.radians(71.3)), abs=15.0)
 
+    @pytest.mark.parametrize("step", [0.0, -10.0, math.nan])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=step)
+
     def test_no_shift_when_span_too_short(self):
         with pytest.raises(NoShiftObservedError):
             estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=3000.0)

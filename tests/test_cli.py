@@ -242,6 +242,23 @@ class TestServe:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--speed-limit", "nan"),
+        ("--speed-limit", "inf"),
+        ("--speed-limit", "0"),
+        ("--grid-deg", "nan"),
+        ("--quota", "0"),
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, registry_file, flag, value, capsys):
+        # A NaN speed limit would never trip the ban: `d > nan` is false.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--targets", registry_file, "--bind", "127.0.0.1:0", flag, value]
+            )
+        assert exc.value.code == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+
 
 def _file(path, text: str) -> str:
     path.write_text(text)
@@ -258,6 +275,21 @@ def _transitions_file(tmp_path, line: str) -> str:
 
 def _transitions_with_inside(tmp_path, inside) -> str:
     return _transitions_file(tmp_path, json.dumps({**_RECORD, "inside": inside}))
+
+
+def _attack_with(*flags):
+    """argv builder for an attack on the registry fixture with extra flags."""
+    return lambda tmp, reg: ["attack", "--targets", reg, "--target", "alice", *flags,
+                             "--out", str(tmp / "t.jsonl")]
+
+
+def _sweep_with(*flags):
+    return lambda tmp, reg: ["sweep", *flags, "--out", str(tmp / "s.csv")]
+
+
+# A JSON integer too large for a float, and one past int's digit limit.
+_HUGE_INT = "1" + "0" * 400
+_OVERLONG_INT = "1" + "0" * 5_000
 
 
 # Each case builds argv from (tmp_path, registry_file) and names a fragment
@@ -292,6 +324,35 @@ BAD_INPUTS = [
                           "--targets", reg, "--out", str(tmp / "r.json")],
         "t.jsonl:2: inside: latitude 95.0", id="out-of-range-transition-lat",
     ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "big.jsonl", f'{{"id": "alice", "lat": 0, "lon": {_HUGE_INT}}}\n'),
+                          "--target", "alice", "--out", str(tmp / "t.jsonl")],
+        "big.jsonl:1: lat and lon must be numbers", id="huge-int-registry-lon",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "long.jsonl", f'{{"id": "alice", "lat": 0, "lon": {_OVERLONG_INT}}}\n'),
+                          "--target", "alice", "--out", str(tmp / "t.jsonl")],
+        "long.jsonl:1:", id="overlong-int-registry-lon",
+    ),
+    pytest.param(_attack_with("--accuracy", "nan"), "--accuracy", id="nan-accuracy"),
+    pytest.param(_attack_with("--accuracy", "inf"), "--accuracy", id="inf-accuracy"),
+    pytest.param(_attack_with("--accuracy", "-1"), "--accuracy", id="negative-accuracy"),
+    pytest.param(_attack_with("--jump", "inf"), "--jump", id="inf-jump"),
+    pytest.param(_attack_with("--jump", "nan"), "--jump", id="nan-jump"),
+    pytest.param(_attack_with("--jump", "0"), "--jump", id="zero-jump"),
+    pytest.param(_attack_with("--accuracy", "50", "--jump", "50"), "jump must exceed accuracy",
+                 id="jump-not-above-accuracy"),
+    pytest.param(_attack_with("--grid-deg", "nan"), "--grid-deg", id="nan-grid"),
+    pytest.param(_attack_with("--grid-deg", "inf"), "--grid-deg", id="inf-grid"),
+    pytest.param(_attack_with("--grid-deg", "0"), "--grid-deg", id="zero-grid"),
+    pytest.param(_attack_with("--grid-deg", "-0.005"), "--grid-deg", id="negative-grid"),
+    pytest.param(_attack_with("--transitions", "0"), "--transitions", id="zero-transitions"),
+    pytest.param(_attack_with("--max-queries", "0"), "--max-queries", id="zero-max-queries"),
+    pytest.param(_sweep_with("--step", "-10"), "--step", id="negative-step"),
+    pytest.param(_sweep_with("--step", "0"), "--step", id="zero-step"),
+    pytest.param(_sweep_with("--step", "inf"), "--step", id="inf-step"),
+    pytest.param(_sweep_with("--step", "nan"), "--step", id="nan-step"),
+    pytest.param(_sweep_with("--grid-deg", "nan"), "--grid-deg", id="nan-sweep-grid"),
 ]
 
 
@@ -308,6 +369,17 @@ def test_bad_input_exits_with_one_error_line(tmp_path, registry_file, argv, frag
     assert len(errors) == 1 and fragment in errors[0]
 
 
+@pytest.mark.parametrize("argv, fragment", BAD_INPUTS)
+def test_bad_input_writes_no_output(tmp_path, registry_file, argv, fragment):
+    args = argv(tmp_path, registry_file)
+    try:
+        main(args)
+    except SystemExit:
+        pass
+    if "--out" in args:
+        assert not os.path.exists(args[args.index("--out") + 1])
+
+
 @pytest.mark.parametrize("line", [
     pytest.param('{"target": "alice", "inside": [0.0, 0.0],', id="invalid-json"),
     pytest.param(json.dumps({k: v for k, v in _RECORD.items() if k != "bearing"}), id="missing-field"),
@@ -316,6 +388,10 @@ def test_bad_input_exits_with_one_error_line(tmp_path, registry_file, argv, frag
     pytest.param(json.dumps({**_RECORD, "queries": 1.5}), id="non-int-queries"),
     pytest.param(json.dumps({**_RECORD, "queries": True}), id="bool-queries"),
     pytest.param(json.dumps({**_RECORD, "inside": [True, 0.0]}), id="bool-transition-lat"),
+    pytest.param(json.dumps({**_RECORD, "outside": [0.0, 10**400]}), id="huge-int-transition-lon"),
+    pytest.param(json.dumps({**_RECORD, "bearing": 10**400}), id="huge-int-bearing"),
+    pytest.param(json.dumps(_RECORD).replace('"bearing": 0.0', f'"bearing": {_OVERLONG_INT}'),
+                 id="overlong-int-bearing"),
 ])
 def test_malformed_transition_record_names_path_and_line(tmp_path, registry_file, line, capsys):
     tfile = _transitions_file(tmp_path, line)

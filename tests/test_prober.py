@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -73,6 +74,13 @@ class TestProbeConfig:
             ProbeConfig(accuracy=0.0)
         with pytest.raises(ValueError):
             ProbeConfig(accuracy=10.0, jump=5.0)
+
+    @pytest.mark.parametrize("kwargs", [{"accuracy": math.nan}, {"jump": math.nan}, {"jump": math.inf}])
+    def test_nan_or_infinite_rejected(self, kwargs):
+        # Every comparison with NaN is false, so a NaN accuracy would never
+        # bisect a straddle; an infinite jump has no destination.
+        with pytest.raises(ValueError):
+            ProbeConfig(**kwargs)
 
 
 class TestFindInwardStart:

@@ -76,6 +76,11 @@ class TestQuantizer:
             node = q.snap(p)
             assert (node.i, node.j) == oracle_node(p.lat, p.lon)
 
+    @pytest.mark.parametrize("grid_deg", [0.0, -0.005, math.nan, math.inf])
+    def test_pitch_must_be_finite_and_positive(self, grid_deg):
+        with pytest.raises(ValueError, match="grid_deg must be finite and positive"):
+            Quantizer(grid_deg)
+
     def test_domain_error(self):
         with pytest.raises(ProjectionDomainError):
             Quantizer().snap(GeoPoint(85.1, 0.0))
@@ -192,6 +197,15 @@ class TestClassify:
             allowed = DEFAULT_CLASS_TABLE[contact]
             mismatches = [d for d in points if classify(d, contact) != two_neighbour(d, allowed)]
             assert mismatches == []
+
+    def test_class_cutoffs(self):
+        # search's stop table rests on these: the largest distance that
+        # classifies to a class <= c, for either contact flag, in order.
+        assert list(service.CLASS_CUTOFF_M.items()) == [
+            (100, 300.0), (500, 750.0), (1000, 1500.0), (2000, 2500.0), (3000, 3500.0),
+            (4000, 4500.0), (5000, 5500.0), (6000, 6500.0), (7000, 7500.0), (8000, 8500.0),
+            (9000, 9500.0), (10000, 10500.0), (11000, 11500.0), (12000, 12500.0),
+        ]
 
     def test_not_listed_beyond_cutoff(self):
         assert classify(12_500.0) == 12_000
@@ -596,6 +610,56 @@ class TestIndexedSearch:
             account = rng.choice(ACCOUNTS)
             pos = around(disc_m + 1_000.0)
             assert svc.search(account, pos, float(step)) == brute_force_search(svc, account, pos)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        north=st.booleans(),
+        n_targets=st.integers(2, 400),
+        grid_deg=st.sampled_from([2.0, 5.0, 10.0, 20.0]),
+        max_results=st.sampled_from([1, 5, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_polar_windows_equal_brute_force_scan(self, north, n_targets, grid_deg, max_results, seed):
+        # On grids of several degrees the reach grows with the snap
+        # displacement to hundreds of km, so from beyond 80 deg the window
+        # often reaches a pole and takes every column. Half the targets lie
+        # near the center, where they can share the querier's node, and the
+        # rest anywhere within 2,000 km.
+        rng = random.Random(seed)
+        center = GeoPoint(rng.uniform(80.0, 85.0) * (1.0 if north else -1.0), rng.uniform(-180.0, 180.0))
+
+        def around(radius_m: float) -> GeoPoint:
+            return _clamped(destination(center, rng.uniform(0.0, 360.0), radius_m * rng.random() ** 0.5))
+
+        def spread(k: int) -> GeoPoint:
+            return around(30_000.0 if k % 2 else 2_000_000.0)
+
+        registry = TargetRegistry()
+        for k in range(n_targets):
+            registry.add(f"t{k:03d}", spread(k), [a for a in ACCOUNTS[:2] if rng.random() < 0.2])
+        svc = Service(registry, Quantizer(grid_deg), max_results=max_results, speed_limit_mps=math.inf)
+        for step in range(6):
+            if step % 3 == 2:
+                k = rng.randrange(n_targets)
+                registry.move(f"t{k:03d}", spread(k))
+            account, pos = rng.choice(ACCOUNTS), around(30_000.0)
+            assert svc.search(account, pos, float(step)) == brute_force_search(svc, account, pos)
+            query_pt = svc.quantizer.snap_point(pos)
+            got = [rec.id for rec in registry.near(query_pt, svc._reach_m)]
+            assert len(got) == len(set(got))
+            within = {rec.id for rec in registry.iter_sorted() if distance(query_pt, rec.pos) <= svc._reach_m}
+            assert within <= set(got)
+
+    @pytest.mark.parametrize("grid_deg, reach_hex", [
+        (0.001, "0x1.8915b9e3f424fp+13"),
+        (0.005, "0x1.92ec9942a1d53p+13"),
+        (0.05, "0x1.00cef51df7a7cp+14"),
+        (2.0, "0x1.4be5c436d2f6cp+17"),
+        (20.0, "0x1.83e468788dd93p+20"),
+    ])
+    def test_reach_is_the_stop_of_the_largest_class(self, grid_deg, reach_hex):
+        svc = Service(TargetRegistry(), Quantizer(grid_deg))
+        assert svc._reach_m.hex() == svc._stop_at[max(DISTANCE_CLASSES_M)].hex() == reach_hex
 
     def test_early_stop_classifies_fewer_records_than_near_returns(self, monkeypatch):
         rng = random.Random(5)

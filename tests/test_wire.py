@@ -165,6 +165,17 @@ class TestServer:
             resp = client.request(msg)
             assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
 
+    @pytest.mark.parametrize("field", ["lat", "lon", "ts"])
+    def test_int_too_large_for_a_float_gets_bad_request(self, served, field):
+        # 400 digits fit well inside MAX_REQUEST_BYTES; a float cannot hold them.
+        msg = {**make_search("a", GeoPoint(0, 0), 0.0), field: 10**400}
+        with pytest.raises(DecodeError, match=f"{field} must be a number"):
+            decode_request(encode(msg))
+        (host, port), _ = served
+        with TcpClient(host, port, "a") as client:
+            resp = client.request(msg)
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+
     def test_non_monotonic_ts_maps_to_bad_request(self, served):
         (host, port), _ = served
         with TcpClient(host, port, "a") as client:
