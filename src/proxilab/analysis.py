@@ -450,29 +450,46 @@ class SweepRow:
     error: str | None = None
 
 
+def sweep_row(
+    location: tuple[str, float, float],
+    step: float = DEFAULT_STEP_M,
+    grid_deg: float = DEFAULT_GRID_DEG,
+    seed: int = 0,
+) -> SweepRow:
+    """Tile size, localization error and region shape at one (name, lat,
+    lon) location, the shape from one `run_probe_deployment` at `seed`. A
+    failure of the harness (a `RuntimeError` from the tile scan or the
+    walker, or a position outside the Mercator domain) is recorded in the
+    row; any other exception propagates. A row builds its own lab and
+    deployment, so rows are independent of each other and of where they
+    run."""
+    name, lat, lon = location
+    pos = GeoPoint(lat, lon)
+    try:
+        tile = estimate_tile_size(SimulatorLab(grid_deg=grid_deg), pos, step=step)
+        err = max_localization_error(tile)
+        tset, _ = run_probe_deployment(pos, seed, grid_deg)
+        shape = classify_shape(tset, anchor=pos)
+        return SweepRow(name, lat, lon, tile, err, shape.value)
+    except (RuntimeError, ProjectionDomainError) as exc:
+        return SweepRow(name, lat, lon, None, None, Shape.UNKNOWN.value, str(exc))
+
+
 def latitude_sweep(
     locations=SWEEP_CITIES,
     step: float = DEFAULT_STEP_M,
     grid_deg: float = DEFAULT_GRID_DEG,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Tile size, localization error and region shape per location, the
-    shape from one `run_probe_deployment` at `seed`. A failure of the
-    harness at one location (a `RuntimeError` from the tile scan or the
-    walker, or a position outside the Mercator domain) is recorded in that
-    row and the sweep continues; any other exception propagates."""
-    rows: list[SweepRow] = []
-    for name, lat, lon in locations:
-        pos = GeoPoint(lat, lon)
-        try:
-            tile = estimate_tile_size(SimulatorLab(grid_deg=grid_deg), pos, step=step)
-            err = max_localization_error(tile)
-            tset, _ = run_probe_deployment(pos, seed, grid_deg)
-            shape = classify_shape(tset, anchor=pos)
-            rows.append(SweepRow(name, lat, lon, tile, err, shape.value))
-        except (RuntimeError, ProjectionDomainError) as exc:
-            rows.append(SweepRow(name, lat, lon, None, None, Shape.UNKNOWN.value, str(exc)))
-    return rows
+    """One `sweep_row` per location, in input order. The rows run on a
+    `DeploymentPool`, so a failed row is still a row with its error, and
+    any other exception of a row reaches the caller with its own class. No
+    locations make no rows and start no worker."""
+    locations = list(locations)
+    if not locations:
+        return []
+    with DeploymentPool(len(locations)) as pool:
+        return list(pool.map(functools.partial(sweep_row, step=step, grid_deg=grid_deg, seed=seed), locations))
 
 
 def run_probe_deployment(
@@ -494,9 +511,9 @@ def run_probe_deployment(
     return tset, service
 
 
-def _pooled_box(target: GeoPoint, seed: int, grid_deg: float) -> Rect | None:
-    """One pooled run: the box of a fresh deployment, None when its
-    transitions do not cover the target well enough for one."""
+def pooled_box(target: GeoPoint, seed: int, grid_deg: float) -> Rect | None:
+    """One pooled run: the box of a fresh `run_probe_deployment`, None when
+    its transitions cover too few region faces for one."""
     tset, _ = run_probe_deployment(target, seed, grid_deg)
     try:
         return bounding_box(tset, target)
@@ -504,29 +521,46 @@ def _pooled_box(target: GeoPoint, seed: int, grid_deg: float) -> Rect | None:
         return None
 
 
-def pooled_boxes(targets: list[GeoPoint], seeds: list[int], grid_deg: float = DEFAULT_GRID_DEG) -> list[Rect | None]:
-    """Box of one `run_probe_deployment` per (target, seed) pair, in input
-    order, None where the run's transitions cover too few region faces.
+class DeploymentPool:
+    """Worker processes for independent, seeded deployments; the one place
+    the lab starts processes.
 
-    The runs are independent (each has its own registry, service and
-    `Random(seed)`), so they go to one worker process per CPU this process
-    may run on, capped at the number of runs, and the result is the one a
-    serial loop gives. Workers are forked, so they start from the modules
-    already imported here instead of importing them again; forking is safe
-    while the caller runs no other thread, as the CLI does. The pool closes
-    before this returns, and a run's exception propagates with its own
-    class.
+    `jobs` is the number of deployments the caller will map (at least 1),
+    and the pool has one worker per CPU this process may run on
+    (`os.sched_getaffinity`), capped at `jobs`. Each deployment builds its
+    own registry, service and `Random(seed)`, so a result depends only on
+    its arguments, and `map` returns results in input order: the outputs
+    are those of a serial loop whatever the worker count. Workers are
+    forked, so they start from the modules already imported here instead
+    of importing them again; forking is safe while the caller runs no
+    other thread, as the CLI does. A job function must be a module-level
+    function that nothing wraps, so that it pickles by name. Leaving the
+    `with` block waits for every worker to exit, and cancels the jobs not
+    yet started when the block raised.
     """
-    # Imported here: they are not needed until the first pooled run, and
-    # importing proxilab.cli should not pay for them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(os.sched_getaffinity(0)), len(targets))
-    chunksize = max(1, len(targets) // (4 * workers))
-    job = functools.partial(_pooled_box, grid_deg=grid_deg)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(job, targets, seeds, chunksize=chunksize))
+    def __init__(self, jobs: int):
+        # Imported here: importing proxilab.cli should not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._workers = min(len(os.sched_getaffinity(0)), jobs)
+        self._pool = ProcessPoolExecutor(self._workers, mp_context=multiprocessing.get_context("fork"))
+
+    def __enter__(self) -> "DeploymentPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._pool.shutdown(cancel_futures=exc_type is not None)
+
+    def map(self, fn, *iterables):
+        """Submit fn over the zipped argument lists now and return an
+        iterator over the results in input order; a job's exception is
+        raised, with its own class, when its result is reached. Jobs go
+        out in chunks of max(1, len // (4 * workers)), a few chunks per
+        worker."""
+        chunksize = max(1, len(iterables[0]) // (4 * self._workers))
+        return self._pool.map(fn, *iterables, chunksize=chunksize)
 
 
 def build_report(tset: TransitionSet, anchor: GeoPoint) -> PrivacyReport:

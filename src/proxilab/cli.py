@@ -9,6 +9,7 @@ a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,29 +287,6 @@ def cmd_figures(args) -> int:
 
     summary: dict = {"config": cfg_dict}
 
-    # Walk around a target sitting exactly on a grid node at the equator:
-    # the canonical transitions scatter and its box. The +1 offset is the
-    # canned walk seed whose crossings reach all four arm tips.
-    equator_target = GeoPoint(0.0, 0.0)
-    tset, _ = analysis.run_probe_deployment(equator_target, seed=seed + 1, grid_deg=config.grid_deg)
-    prober.write_transitions(path("walk_transitions.jsonl"), tset, config=cfg_dict)
-    report = analysis.build_report(tset, equator_target)
-    analysis.write_report_json(path("walk_report.json"), report, config=cfg_dict)
-    summary["walk"] = {"n_transitions": len(tset), "n_queries": tset.total_queries}
-
-    # One mid-latitude deployment for the cell-to-box area ratio.
-    mid_target = GeoPoint(40.0, -3.0)
-    tset40, service40 = analysis.run_probe_deployment(mid_target, seed=seed, grid_deg=config.grid_deg)
-    rect40 = analysis.bounding_box(tset40, mid_target)
-    cell = service40.quantizer.cell_size(mid_target.lat)
-    summary["uncertainty_ratio"] = {
-        "lat": mid_target.lat,
-        "cell_size_m": cell,
-        "box_w_m": rect40.width,
-        "box_h_m": rect40.height,
-        "cell_to_box_area_ratio": cell * cell / rect40.area,
-    }
-
     # Pooled edge-offset and centroid-error distributions at lat 23, one
     # deployment per run; a run whose crossings miss a face is dropped.
     base = GeoPoint(23.0, 10.0)
@@ -318,7 +296,68 @@ def cmd_figures(args) -> int:
         for _ in range(args.runs)
     ]
     seeds = [seed * 100_003 + k for k in range(args.runs)]
-    rects = [r for r in analysis.pooled_boxes(targets, seeds, config.grid_deg) if r is not None]
+
+    # The costly jobs, the sweep rows and then the pooled runs, go to the
+    # workers first; the walks and the ladder below run here meanwhile.
+    with analysis.DeploymentPool(len(analysis.SWEEP_CITIES) + args.runs) as pool:
+        row_results = pool.map(
+            functools.partial(analysis.sweep_row, step=config.step, grid_deg=config.grid_deg, seed=seed),
+            analysis.SWEEP_CITIES,
+        )
+        box_results = pool.map(functools.partial(analysis.pooled_box, grid_deg=config.grid_deg), targets, seeds)
+
+        # Walk around a target sitting exactly on a grid node at the equator:
+        # the canonical transitions scatter and its box. The +1 offset is the
+        # canned walk seed whose crossings reach all four arm tips.
+        equator_target = GeoPoint(0.0, 0.0)
+        tset, _ = analysis.run_probe_deployment(equator_target, seed=seed + 1, grid_deg=config.grid_deg)
+        prober.write_transitions(path("walk_transitions.jsonl"), tset, config=cfg_dict)
+        report = analysis.build_report(tset, equator_target)
+        analysis.write_report_json(path("walk_report.json"), report, config=cfg_dict)
+        summary["walk"] = {"n_transitions": len(tset), "n_queries": tset.total_queries}
+
+        # One mid-latitude deployment for the cell-to-box area ratio.
+        mid_target = GeoPoint(40.0, -3.0)
+        tset40, service40 = analysis.run_probe_deployment(mid_target, seed=seed, grid_deg=config.grid_deg)
+        rect40 = analysis.bounding_box(tset40, mid_target)
+        cell = service40.quantizer.cell_size(mid_target.lat)
+        summary["uncertainty_ratio"] = {
+            "lat": mid_target.lat,
+            "cell_size_m": cell,
+            "box_w_m": rect40.width,
+            "box_h_m": rect40.height,
+            "cell_to_box_area_ratio": cell * cell / rect40.area,
+        }
+
+        # Boundary-shift ladder behind the tile-size estimate, coarse for the plot.
+        ladder_end = 4.5 * Quantizer(config.grid_deg).cell_size(0.0)
+        ladder = analysis.SimulatorLab(grid_deg=config.grid_deg).ladder(
+            GeoPoint(*analysis.SWEEP_CITIES[0][1:]), 90.0, config.step * 10, ladder_end
+        )
+        analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder, config=cfg_dict)
+
+        # Shape taxonomy at a low and a mid latitude (low-latitude walk uses the
+        # canned +1 seed for full tip coverage, as in the equator walk).
+        shapes = {}
+        for label, lat, shape_seed in (("low", 5.0, seed + 1), ("mid", 40.0, seed)):
+            pos = GeoPoint(lat, 7.25)
+            s_set, _ = analysis.run_probe_deployment(pos, seed=shape_seed, grid_deg=config.grid_deg)
+            shapes[label] = {"lat": lat, "shape": analysis.classify_shape(s_set, anchor=pos).value}
+        summary["shapes"] = shapes
+
+        rows = list(row_results)
+        rects = [r for r in box_results if r is not None]
+
+    # Latitude sweep over the bundled city list; its first row, on the
+    # ladder's city, is the tile-size estimate.
+    analysis.write_sweep_csv(path("sweep.csv"), rows, config=cfg_dict)
+    _warn_failed_rows(rows)
+    summary["tile_estimate"] = {"name": rows[0].name, "l_m": rows[0].tile_size_m, "D_m": rows[0].max_error_m}
+    summary["sweep"] = [
+        {"name": r.name, "lat": r.lat, "l_m": r.tile_size_m, "D_m": r.max_error_m, "shape": r.shape}
+        for r in rows
+    ]
+
     phasors = [analysis.phasor((0.0, 0.0), analysis.centroid(r)) for r in rects]
     d_x, d_y = analysis.edge_offsets(rects)
     analysis.write_ecdf_csv(path("edge_offset_x_ecdf.csv"), analysis.ecdf(d_x), config=cfg_dict)
@@ -332,33 +371,6 @@ def cmd_figures(args) -> int:
         "edge_y_fit": list(analysis.fit_uniform(d_y)),
         "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho) if rho else None,
     }
-
-    # Boundary-shift ladder behind the tile-size estimate, coarse for the plot.
-    ladder_end = 4.5 * Quantizer(config.grid_deg).cell_size(0.0)
-    ladder = analysis.SimulatorLab(grid_deg=config.grid_deg).ladder(
-        GeoPoint(*analysis.SWEEP_CITIES[0][1:]), 90.0, config.step * 10, ladder_end
-    )
-    analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder, config=cfg_dict)
-
-    # Latitude sweep over the bundled city list; its first row, on the
-    # ladder's city, is the tile-size estimate.
-    rows = analysis.latitude_sweep(step=config.step, grid_deg=config.grid_deg, seed=seed)
-    analysis.write_sweep_csv(path("sweep.csv"), rows, config=cfg_dict)
-    _warn_failed_rows(rows)
-    summary["tile_estimate"] = {"name": rows[0].name, "l_m": rows[0].tile_size_m, "D_m": rows[0].max_error_m}
-    summary["sweep"] = [
-        {"name": r.name, "lat": r.lat, "l_m": r.tile_size_m, "D_m": r.max_error_m, "shape": r.shape}
-        for r in rows
-    ]
-
-    # Shape taxonomy at a low and a mid latitude (low-latitude walk uses the
-    # canned +1 seed for full tip coverage, as in the equator walk).
-    shapes = {}
-    for label, lat, shape_seed in (("low", 5.0, seed + 1), ("mid", 40.0, seed)):
-        pos = GeoPoint(lat, 7.25)
-        s_set, _ = analysis.run_probe_deployment(pos, seed=shape_seed, grid_deg=config.grid_deg)
-        shapes[label] = {"lat": lat, "shape": analysis.classify_shape(s_set, anchor=pos).value}
-    summary["shapes"] = shapes
 
     with open(path("summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

@@ -495,6 +495,13 @@ class Service:
             raise ValueError(f"unknown admission policy {admission!r}")
         if max_results < 1:
             raise ValueError("max_results must be at least 1")
+        # `_admit` compares against both, and every comparison with NaN is
+        # false: a NaN limit would never ban, a NaN quota never flood. An
+        # infinite limit, which never bans, stays allowed.
+        if not speed_limit_mps > 0.0:
+            raise ValueError("speed_limit_mps must be positive")
+        if isinstance(daily_quota, bool) or not isinstance(daily_quota, int) or daily_quota < 1:
+            raise ValueError("daily_quota must be an int of at least 1")
         self.registry = registry
         self.quantizer = quantizer or Quantizer()
         self.daily_quota = daily_quota

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import pickle
 import random
 from dataclasses import astuple
@@ -310,15 +311,20 @@ class TestLatitudeSweep:
         assert row.max_error_m == pytest.approx(356.0, abs=15.0)
 
     def test_failures_recorded_not_raised(self):
+        # The row runs in a worker process, and its failure still comes
+        # back as that row's error.
         rows = latitude_sweep([("polar", 89.0, 0.0)], step=10.0)
         assert rows[0].error is not None
         assert rows[0].tile_size_m is None
+        assert multiprocessing.active_children() == []
 
     def test_programming_errors_propagate(self):
         # Only the harness's own failures become a row's error; a bad
-        # argument type is a bug and must surface as one.
+        # argument type is a bug and must surface as one, with its own
+        # class, from the worker that ran the row.
         with pytest.raises(TypeError):
             latitude_sweep(SWEEP_CITIES[:1], step="10")
+        assert multiprocessing.active_children() == []
 
 
 class TestReportsAndFiles:

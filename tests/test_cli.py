@@ -433,6 +433,18 @@ class TestSweep:
         assert float(rows["Doha"][4]) == pytest.approx(356.0, abs=15.0)
         assert float(rows["Utqiagvik"][4]) == pytest.approx(126.0, abs=15.0)
 
+    def test_empty_locations_file_writes_only_the_header(self, tmp_path, capsys):
+        # No rows to run, so no worker either.
+        cities = tmp_path / "cities.jsonl"
+        cities.write_text("")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--targets", str(cities), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# config ")
+        assert lines[1] == "name,lat,lon,l_m,D_m,shape"
+        assert capsys.readouterr().out == f"0 location(s) -> {out}\n"
+        assert multiprocessing.active_children() == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cities = tmp_path / "cities.jsonl"
         cities.write_text('{"id": "Doha", "lat": 25.26174, "lon": 51.359269}\n')
@@ -504,9 +516,11 @@ class TestFigures:
         assert multiprocessing.active_children() == []
 
     def test_pooled_runs_match_a_serial_loop(self, tmp_path, monkeypatch):
-        """The four ECDF files and summary distributions of `figures --runs
-        25 --seed 3` on two workers and on one equal those of a plain loop
-        over the same deployments, so the pool keeps the runs' order."""
+        """The four ECDF files, `sweep.csv` and the summary distributions and
+        sweep fields of `figures --runs 25 --seed 3`, and the CSV of `sweep
+        --step 20 --seed 3`, on two workers and on one equal those of a plain
+        loop over the same deployments and rows, so the pool keeps the
+        order of both."""
         names = ("edge_offset_x_ecdf.csv", "edge_offset_y_ecdf.csv", "radius_ecdf.csv", "phase_ecdf.csv")
         serial = tmp_path / "serial"
         serial.mkdir()
@@ -525,6 +539,12 @@ class TestFigures:
         config = ExperimentConfig(seed=3).to_dict()
         for name, samples in zip(names, (d_x, d_y, rho, [p.phase for p in phasors])):
             analysis.write_ecdf_csv(str(serial / name), analysis.ecdf(samples), config=config)
+        rows = [analysis.sweep_row(city, step=DEFAULT_STEP_M, seed=3) for city in SWEEP_CITIES]
+        analysis.write_sweep_csv(str(serial / "sweep.csv"), rows, config=config)
+        rows_20 = [analysis.sweep_row(city, step=20.0, seed=3) for city in SWEEP_CITIES]
+        analysis.write_sweep_csv(
+            str(serial / "sweep-20.csv"), rows_20, config=ExperimentConfig(seed=3, step=20.0).to_dict()
+        )
         expected = {
             "distributions": {
                 "runs_used": len(rects),
@@ -532,17 +552,25 @@ class TestFigures:
                 "edge_y_fit": list(analysis.fit_uniform(d_y)),
                 "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho),
             },
-            **{name: (serial / name).read_bytes() for name in names},
+            "tile_estimate": {"name": rows[0].name, "l_m": rows[0].tile_size_m, "D_m": rows[0].max_error_m},
+            "sweep": [
+                {"name": r.name, "lat": r.lat, "l_m": r.tile_size_m, "D_m": r.max_error_m, "shape": r.shape}
+                for r in rows
+            ],
+            **{name: (serial / name).read_bytes() for name in (*names, "sweep.csv", "sweep-20.csv")},
         }
         for cpus in ({0, 1}, {0}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             out = tmp_path / f"pooled-{len(cpus)}"
             assert main(["figures", "--runs", "25", "--seed", "3", "--out", str(out)]) == EXIT_OK
+            assert main(["sweep", "--step", "20", "--seed", "3", "--out", str(out / "sweep-20.csv")]) == EXIT_OK
+            summary = json.loads((out / "summary.json").read_text())
             got = {
-                "distributions": json.loads((out / "summary.json").read_text())["distributions"],
-                **{name: (out / name).read_bytes() for name in names},
+                **{key: summary[key] for key in ("distributions", "tile_estimate", "sweep")},
+                **{name: (out / name).read_bytes() for name in (*names, "sweep.csv", "sweep-20.csv")},
             }
             assert got == expected
+            assert multiprocessing.active_children() == []
 
 
 class TestFlagsReachConsumers:

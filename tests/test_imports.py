@@ -10,8 +10,8 @@ import proxilab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(proxilab.__file__)))
 
-# numpy is a test dependency only; the process pool behind `figures`' pooled
-# runs is imported by its first run, not by importing the CLI.
+# numpy is a test dependency only; the process pool behind `sweep` and
+# `figures` is imported when a pool opens, not by importing the CLI.
 NOT_LOADED = ("numpy", "multiprocessing", "concurrent.futures")
 
 PROBE = """

@@ -419,6 +419,24 @@ class TestSearch:
             with pytest.raises(ValueError):
                 make_service([("t", GeoPoint(0, 0))], max_results=max_results)
 
+    @pytest.mark.parametrize("speed_limit", [math.nan, 0.0, -1.0, -math.inf])
+    def test_speed_limit_not_positive_rejected(self, speed_limit):
+        # A NaN limit would admit every jump: `d > nan * dt` is false.
+        with pytest.raises(ValueError, match="speed_limit_mps"):
+            make_service([("t", GeoPoint(0, 0))], speed_limit_mps=speed_limit)
+
+    def test_infinite_speed_limit_never_bans(self):
+        svc = make_service([("t", GeoPoint(0, 0))], speed_limit_mps=math.inf)
+        svc.search("a", GeoPoint(0.0, 0.0), 0.0)
+        svc.search("a", GeoPoint(1.0, 0.0), 1.0)  # 111 km in 1 s
+        assert svc.account("a").ban_events == 0
+
+    @pytest.mark.parametrize("quota", [math.nan, 5.0, 0, -1, True, "5"])
+    def test_daily_quota_not_a_count_rejected(self, quota):
+        # A NaN quota would never flood: `queries_today >= nan` is false.
+        with pytest.raises(ValueError, match="daily_quota"):
+            make_service([("t", GeoPoint(0, 0))], daily_quota=quota)
+
     def test_out_of_range_target_not_listed(self):
         svc = make_service([("t", GeoPoint(0.0, 0.3))])  # ~33 km away
         assert svc.search("a", GeoPoint(0.0, 0.0), 0.0) == []
