@@ -6,11 +6,10 @@ under those limits; and the statistics that turn collected transitions into
 location-privacy measurements.
 """
 
-from .geo import GeoPoint, LocalXY, MercatorPoint, destination, distance, from_local, from_mercator, to_local, to_mercator
+from .geo import GeoPoint, MercatorPoint, destination, distance, from_mercator, to_local, to_mercator
 from .prober import ProbeConfig, Transition, TransitionSet, collect_transitions, pace
 from .service import (
     DISTANCE_CLASSES_M,
-    GridNode,
     LocalClient,
     Quantizer,
     Service,

@@ -161,11 +161,7 @@ SWEEP_CITIES: tuple[tuple[str, float, float], ...] = (
 
 def midpoints_local(tset: TransitionSet, anchor: GeoPoint) -> list[tuple[float, float]]:
     """Transition midpoints as (x, y) local meters about the anchor."""
-    pts = []
-    for t in tset.transitions:
-        xy = to_local(anchor, t.midpoint())
-        pts.append((xy.x, xy.y))
-    return pts
+    return [to_local(anchor, t.midpoint()) for t in tset.transitions]
 
 
 def _crossing_sides(tset: TransitionSet, anchor: GeoPoint, rect: Rect) -> set[str]:
@@ -180,11 +176,11 @@ def _crossing_sides(tset: TransitionSet, anchor: GeoPoint, rect: Rect) -> set[st
     half_h = rect.height / 2.0
     sides: set[str] = set()
     for t in tset.transitions:
-        a = to_local(anchor, t.inside)
-        b = to_local(anchor, t.outside)
-        dx, dy = b.x - a.x, b.y - a.y
+        ax, ay = to_local(anchor, t.inside)
+        bx, by = to_local(anchor, t.outside)
+        dx, dy = bx - ax, by - ay
         if dx == 0.0 and dy == 0.0:
-            x, y = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
+            x, y = (ax + bx) / 2.0, (ay + by) / 2.0
             dx = (x - cx) / half_w if half_w > 0 else 0.0
             dy = (y - cy) / half_h if half_h > 0 else 0.0
             if dx == 0.0 and dy == 0.0:
@@ -355,9 +351,9 @@ class SimulatorLab:
             raise RuntimeError("deployed position does not report the inner class")
         inside, outside = sess.probe_outward(pos, pos, bearing)
         t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
-        xy = to_local(base, t.midpoint())
+        x, y = to_local(base, t.midpoint())
         theta = math.radians(bearing)
-        return xy.x * math.sin(theta) + xy.y * math.cos(theta)
+        return x * math.sin(theta) + y * math.cos(theta)
 
     def ladder(self, base: GeoPoint, bearing: float, step: float, end: float):
         """Deploy the target every `step` meters from base along the bearing,

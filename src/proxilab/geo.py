@@ -81,15 +81,6 @@ class MercatorPoint:
     y: float
 
 
-@dataclass(frozen=True)
-class LocalXY:
-    """Meters east (x) and north (y) of a fixed anchor point."""
-
-    x: float
-    y: float
-    anchor: GeoPoint
-
-
 def distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters (haversine).
 
@@ -136,8 +127,9 @@ def from_mercator(m: MercatorPoint) -> GeoPoint:
     return GeoPoint(lat=lat, lon=m.x)
 
 
-def to_local(anchor: GeoPoint, p: GeoPoint) -> LocalXY:
-    """Equirectangular projection of p into a meter frame about the anchor.
+def to_local(anchor: GeoPoint, p: GeoPoint) -> tuple[float, float]:
+    """Equirectangular projection of p into a meter frame about the anchor:
+    (x, y), meters east and north.
 
     Cheap and exact to invert; accurate well below 0.01 m round-trip for
     offsets up to several km. Offsets beyond 50 km are rejected.
@@ -146,15 +138,7 @@ def to_local(anchor: GeoPoint, p: GeoPoint) -> LocalXY:
     y = (p.lat - anchor.lat) * METERS_PER_DEGREE
     if hypot(x, y) > LOCAL_FRAME_RANGE_M:
         raise LocalFrameRangeError(f"point {p} beyond {LOCAL_FRAME_RANGE_M} m of anchor")
-    return LocalXY(x=x, y=y, anchor=anchor)
-
-
-def from_local(xy: LocalXY) -> GeoPoint:
-    if hypot(xy.x, xy.y) > LOCAL_FRAME_RANGE_M:
-        raise LocalFrameRangeError(f"offset beyond {LOCAL_FRAME_RANGE_M} m of anchor")
-    lat = xy.anchor.lat + xy.y / METERS_PER_DEGREE
-    lon = xy.anchor.lon + xy.x / (METERS_PER_DEGREE * cos(xy.anchor.lat * RADIANS_PER_DEGREE))
-    return GeoPoint(lat=lat, lon=lon)
+    return x, y
 
 
 def destination(p: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoint:
@@ -180,9 +164,9 @@ def destination(p: GeoPoint, bearing_deg: float, dist_m: float) -> GeoPoint:
 
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
     """Midpoint of the short segment from a to b via the local frame of a:
-    `from_local` of half of `to_local(a, b)`, computed without the two
-    intermediate `LocalXY` frames. Half an offset that passed the range
-    check always passes it again, so only `to_local`'s check remains."""
+    half of the offset `to_local(a, b)`, taken back to degrees by the
+    inverse of that frame. Offsets beyond 50 km are rejected, as in
+    `to_local`."""
     cos_lat = cos(a.lat * RADIANS_PER_DEGREE)
     x = ((b.lon - a.lon + 180.0) % 360.0 - 180.0) * cos_lat * METERS_PER_DEGREE
     y = (b.lat - a.lat) * METERS_PER_DEGREE

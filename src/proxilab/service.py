@@ -28,13 +28,10 @@ from .geo import (
     METERS_PER_DEGREE,
     RADIANS_PER_DEGREE,
     GeoPoint,
-    MercatorPoint,
     _point,
     check_lat,
     distance,
-    from_mercator,
     is_number,
-    to_mercator,
 )
 
 DISTANCE_CLASSES_M = (
@@ -105,14 +102,6 @@ class RegistryFormatError(ValueError):
         return type(self), (self.path, self.line_no, self.reason)
 
 
-@dataclass(frozen=True)
-class GridNode:
-    """Integer cell indices on the Mercator grid."""
-
-    i: int
-    j: int
-
-
 class Quantizer:
     """Rounds coordinates onto a Mercator-aligned tessellation.
 
@@ -127,18 +116,11 @@ class Quantizer:
             raise ValueError("grid_deg must be finite and positive")
         self.grid_deg = grid_deg
 
-    def snap(self, p: GeoPoint) -> GridNode:
-        m = to_mercator(p)
-        g = self.grid_deg
-        return GridNode(i=floor(m.x / g + 0.5), j=floor(m.y / g + 0.5))
-
-    def node_point(self, node: GridNode) -> GeoPoint:
-        return from_mercator(MercatorPoint(node.i * self.grid_deg, node.j * self.grid_deg))
-
     def snap_point(self, p: GeoPoint) -> GeoPoint:
-        """`node_point(snap(p))` in one pass: the arithmetic of `to_mercator`,
-        `snap` and `from_mercator`, operation for operation, without the
-        intermediate `MercatorPoint`s and `GridNode`."""
+        """The grid node p rounds to, as a point: the Mercator y of p's
+        latitude, both axes rounded to node indices (i, j), and node j's y
+        taken back to a latitude. Raises ProjectionDomainError outside the
+        Mercator domain."""
         lat = p.lat
         check_lat(lat)
         g = self.grid_deg

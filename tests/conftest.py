@@ -1,8 +1,10 @@
 """Shared fixtures and an independent geometry oracle.
 
-The oracle re-derives the snapping and bucketing rules from scratch (own
-Mercator formulas, own haversine, brute-force cell enumeration) so tests
-never validate the implementation against itself.
+The oracle re-derives the snapping, bucketing and local-frame rules from
+scratch (own Mercator formulas, own haversine, brute-force cell enumeration
+sized from the cell, so it holds at every latitude the service accepts) so
+tests never validate the implementation against itself. Only the node
+functions take a grid pitch; the rest use the default one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ PUBLIC_CLASSES = (500, 1000, 2000, 3000, 4000, 5000, 6000,
                   7000, 8000, 9000, 10000, 11000, 12000)
 
 
+def oracle_wrap_lon(lon: float) -> float:
+    return (lon + 180.0) % 360.0 - 180.0
+
+
 def oracle_merc_y(lat_deg: float) -> float:
     return math.degrees(math.log(math.tan(math.pi / 4.0 + math.radians(lat_deg) / 2.0)))
 
@@ -33,9 +39,23 @@ def oracle_inv_y(y_deg: float) -> float:
 def oracle_haversine(lat1, lon1, lat2, lon2) -> float:
     p1, p2 = math.radians(lat1), math.radians(lat2)
     dp = math.radians(lat2 - lat1)
-    dl = math.radians(lon2 - lon1)
+    dl = math.radians(oracle_wrap_lon(lon2 - lon1))
     h = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
     return 2.0 * ORACLE_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def oracle_local(anchor: GeoPoint, lat: float, lon: float) -> tuple[float, float]:
+    """Equirectangular meters (east, north) of (lat, lon) about the anchor."""
+    x = oracle_wrap_lon(lon - anchor.lon) * math.cos(math.radians(anchor.lat)) * ORACLE_M_PER_DEG
+    return x, (lat - anchor.lat) * ORACLE_M_PER_DEG
+
+
+def oracle_from_local(anchor: GeoPoint, x: float, y: float) -> tuple[float, float]:
+    """Inverse of oracle_local: (lat, lon), the longitude not wrapped."""
+    return (
+        anchor.lat + y / ORACLE_M_PER_DEG,
+        anchor.lon + x / (ORACLE_M_PER_DEG * math.cos(math.radians(anchor.lat))),
+    )
 
 
 def oracle_node(lat_deg: float, lon_deg: float, grid: float = ORACLE_GRID_DEG) -> tuple[int, int]:
@@ -46,42 +66,44 @@ def oracle_node(lat_deg: float, lon_deg: float, grid: float = ORACLE_GRID_DEG) -
 
 
 def oracle_node_latlon(i: int, j: int, grid: float = ORACLE_GRID_DEG) -> tuple[float, float]:
-    return oracle_inv_y(j * grid), i * grid
+    return oracle_inv_y(j * grid), oracle_wrap_lon(i * grid)
 
 
-def oracle_class(
-    finder: GeoPoint,
-    target: GeoPoint,
-    grid: float = ORACLE_GRID_DEG,
-    contact: bool = False,
-) -> int | None:
-    """Reported class per the rounding-then-nearest-bucket rules."""
-    f_lat, f_lon = oracle_node_latlon(*oracle_node(finder.lat, finder.lon, grid), grid)
-    t_lat, t_lon = oracle_node_latlon(*oracle_node(target.lat, target.lon, grid), grid)
+def oracle_class(finder: GeoPoint, target: GeoPoint) -> int | None:
+    """Class a non-contact finder is shown, per the rounding-then-nearest-
+    bucket rules."""
+    f_lat, f_lon = oracle_node_latlon(*oracle_node(finder.lat, finder.lon))
+    t_lat, t_lon = oracle_node_latlon(*oracle_node(target.lat, target.lon))
     d = oracle_haversine(f_lat, f_lon, t_lat, t_lon)
-    allowed = ((100,) if contact else ()) + PUBLIC_CLASSES
-    if d > allowed[-1] + 500.0:
+    if d > PUBLIC_CLASSES[-1] + 500.0:
         return None
-    return min(allowed, key=lambda c: (abs(d - c), c))
+    return min(PUBLIC_CLASSES, key=lambda c: (abs(d - c), c))
 
 
-def oracle_region_cells(target: GeoPoint, grid: float = ORACLE_GRID_DEG) -> set[tuple[int, int]]:
-    """Cell offsets (di, dj) whose node classifies as 500 for the target."""
-    i0, j0 = oracle_node(target.lat, target.lon, grid)
-    n_lat, n_lon = oracle_node_latlon(i0, j0, grid)
-    cells = set()
-    for di in range(-7, 8):
-        for dj in range(-7, 8):
-            c_lat, c_lon = oracle_node_latlon(i0 + di, j0 + dj, grid)
-            if oracle_haversine(c_lat, c_lon, n_lat, n_lon) <= 750.0:
-                cells.add((di, dj))
-    return cells
+def oracle_region_cells(target: GeoPoint) -> set[tuple[int, int]]:
+    """Cell offsets (di, dj) whose node classifies as 500 for the target.
+
+    The region spans at most 750 m plus the target's offset from its node,
+    so the enumeration reaches 800 m of cells, and two more, each way.
+    """
+    i0, j0 = oracle_node(target.lat, target.lon)
+    n_lat, n_lon = oracle_node_latlon(i0, j0)
+    cell = ORACLE_GRID_DEG * ORACLE_M_PER_DEG * math.cos(math.radians(target.lat))
+    reach = int(800.0 / cell) + 2
+    offsets = range(-reach, reach + 1)
+    return {
+        (di, dj)
+        for di in offsets
+        for dj in offsets
+        if oracle_haversine(*oracle_node_latlon(i0 + di, j0 + dj), n_lat, n_lon) <= 750.0
+    }
 
 
-def oracle_bbox_local(target: GeoPoint, grid: float = ORACLE_GRID_DEG) -> tuple[float, float, float, float]:
+def oracle_bbox_local(target: GeoPoint) -> tuple[float, float, float, float]:
     """Analytic transition-boundary box in local meters about the target."""
-    i0, j0 = oracle_node(target.lat, target.lon, grid)
-    cells = oracle_region_cells(target, grid)
+    grid = ORACLE_GRID_DEG
+    i0, j0 = oracle_node(target.lat, target.lon)
+    cells = oracle_region_cells(target)
     min_i = min(c[0] for c in cells)
     max_i = max(c[0] for c in cells)
     min_j = min(c[1] for c in cells)
@@ -94,15 +116,17 @@ def oracle_bbox_local(target: GeoPoint, grid: float = ORACLE_GRID_DEG) -> tuple[
     return x_lo, x_hi, y_lo, y_hi
 
 
-def oracle_boundary_points(lat_deg: float, grid: float = ORACLE_GRID_DEG, per_edge: int = 9) -> list[tuple[float, float]]:
+def oracle_boundary_points(lat_deg: float) -> list[tuple[float, float]]:
     """Dense scan of the 500-region boundary in local meters about the node.
 
-    Walks every exposed cell edge of the region and samples points along it.
+    Walks every exposed cell edge of the region and samples nine points
+    along it.
     """
+    grid = ORACLE_GRID_DEG
     target = GeoPoint(lat_deg, 0.0)
-    cells = oracle_region_cells(target, grid)
-    i0, j0 = oracle_node(target.lat, target.lon, grid)
-    n_lat, n_lon = oracle_node_latlon(i0, j0, grid)
+    cells = oracle_region_cells(target)
+    i0, j0 = oracle_node(target.lat, target.lon)
+    n_lat, n_lon = oracle_node_latlon(i0, j0)
     cos_lat = math.cos(math.radians(n_lat))
 
     def to_xy(merc_x, merc_y):
@@ -122,8 +146,8 @@ def oracle_boundary_points(lat_deg: float, grid: float = ORACLE_GRID_DEG, per_ed
         for (ni, nj), (a, b) in edges.items():
             if (di + ni, dj + nj) in cells:
                 continue  # interior edge
-            for k in range(per_edge):
-                f = (k + 0.5) / per_edge
+            for k in range(9):
+                f = (k + 0.5) / 9
                 pts.append(to_xy(a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
     return pts
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxilab import analysis, geo, prober, service, wire
-from proxilab.geo import GeoPoint, LocalXY, from_local
+from proxilab.geo import GeoPoint, to_local
 from proxilab.prober import Direction, Transition, TransitionSet
 from proxilab.service import FloodWaitError, LocalClient
 from proxilab.analysis import (
@@ -46,7 +46,7 @@ from proxilab.analysis import (
     write_sweep_csv,
 )
 
-from conftest import oracle_boundary_points
+from conftest import oracle_boundary_points, oracle_from_local
 
 EQ_CELL_M = 0.005 * math.pi / 180.0 * 6_378_137.0  # 556.597
 
@@ -56,11 +56,11 @@ def synthetic_set(anchor: GeoPoint, points_xy, straddle=None) -> TransitionSet:
     transitions that inside-to-outside vector, else they are zero-width."""
     transitions = []
     for x, y in points_xy:
-        p = from_local(LocalXY(x, y, anchor))
+        p = GeoPoint(*oracle_from_local(anchor, x, y))
         if straddle is None:
             q = p
         else:
-            q = from_local(LocalXY(x + straddle[0], y + straddle[1], anchor))
+            q = GeoPoint(*oracle_from_local(anchor, x + straddle[0], y + straddle[1]))
         transitions.append(Transition(p, q, 0.0, Direction.OUT, 0))
     return TransitionSet(target="t", transitions=transitions, total_queries=0)
 
@@ -120,13 +120,12 @@ class TestCentroid:
 
     def test_full_run_centroid_near_snapped_node(self, midlat_runs):
         from proxilab.service import Quantizer
-        from proxilab.geo import to_local
 
         quant = Quantizer()
         target, tset, _ = midlat_runs[0]
         cx, cy = centroid(bounding_box(tset, target))
-        node_xy = to_local(target, quant.snap_point(target))
-        assert math.hypot(cx - node_xy.x, cy - node_xy.y) <= 15.0
+        node_x, node_y = to_local(target, quant.snap_point(target))
+        assert math.hypot(cx - node_x, cy - node_y) <= 15.0
 
 
 class TestEdgeOffsets:

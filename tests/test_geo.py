@@ -13,18 +13,17 @@ from proxilab.geo import (
     METERS_PER_DEGREE,
     GeoPoint,
     LocalFrameRangeError,
-    LocalXY,
-    MercatorPoint,
     ProjectionDomainError,
     destination,
     distance,
-    from_local,
     from_mercator,
     midpoint,
     to_local,
     to_mercator,
 )
 from proxilab.service import Quantizer
+
+from conftest import oracle_from_local, oracle_local
 
 # closed-form arc length for 0.005 degrees on the equator
 ARC_0005_DEG = 0.005 * math.pi / 180.0 * EARTH_RADIUS_M
@@ -153,34 +152,27 @@ class TestMercator:
 class TestLocalFrame:
     def test_anchor_maps_to_origin(self):
         a = GeoPoint(12.3, 45.6)
-        xy = to_local(a, a)
-        assert xy.x == 0.0 and xy.y == 0.0
+        assert to_local(a, a) == (0.0, 0.0)
 
     def test_equatorial_east_offset(self):
-        xy = to_local(GeoPoint(0, 0), GeoPoint(0, 0.005))
-        assert xy.x == pytest.approx(556.6, abs=0.1)
-        assert xy.y == pytest.approx(0.0, abs=1e-9)
-
-    def test_from_local_east_displacement(self):
-        p = from_local(LocalXY(556.6, 0.0, GeoPoint(0, 0)))
-        assert p.lon == pytest.approx(0.005, abs=1e-6)
-        assert p.lat == pytest.approx(0.0, abs=1e-9)
+        x, y = to_local(GeoPoint(0, 0), GeoPoint(0, 0.005))
+        assert x == pytest.approx(556.6, abs=0.1)
+        assert y == pytest.approx(0.0, abs=1e-9)
 
     def test_round_trip_below_centimeter_within_5km(self):
+        # The frame is the oracle's to the bit, and its inverse lands
+        # within a centimetre of the point.
         rng = random.Random(5)
         for _ in range(500):
             anchor = GeoPoint(rng.uniform(-80, 80), rng.uniform(-180, 180))
             p = destination(anchor, rng.uniform(0, 360), rng.uniform(0, 5_000))
             xy = to_local(anchor, p)
-            q = from_local(xy)
-            assert distance(p, q) < 0.01
+            assert xy == oracle_local(anchor, p.lat, p.lon)
+            assert distance(p, GeoPoint(*oracle_from_local(anchor, *xy))) < 0.01
 
     def test_range_error_beyond_50km(self):
-        a = GeoPoint(0, 0)
         with pytest.raises(LocalFrameRangeError):
-            to_local(a, GeoPoint(0, 0.5))
-        with pytest.raises(LocalFrameRangeError):
-            from_local(LocalXY(60_000.0, 0.0, a))
+            to_local(GeoPoint(0, 0), GeoPoint(0, 0.5))
 
 
 class TestDestination:
@@ -238,13 +230,12 @@ class TestMidpoint:
     def test_bit_identical_to_half_the_local_offset(self, a_lat, a_lon, dlat, dlon):
         a = GeoPoint(a_lat, a_lon)
         b = GeoPoint(a_lat + dlat, a_lon + dlon)
-        try:
-            xy = to_local(a, b)
-        except LocalFrameRangeError:
+        x, y = oracle_local(a, b.lat, b.lon)
+        if math.hypot(x, y) > 50_000.0:
             with pytest.raises(LocalFrameRangeError):
                 midpoint(a, b)
             return
-        assert bits(midpoint(a, b)) == bits(from_local(LocalXY(xy.x / 2, xy.y / 2, a)))
+        assert bits(midpoint(a, b)) == bits(GeoPoint(*oracle_from_local(a, x / 2, y / 2)))
 
 
 class TestTrustedPoints:

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxilab import service
-from proxilab.geo import GeoPoint, MercatorPoint, ProjectionDomainError, destination, distance, from_mercator
+from proxilab.geo import GeoPoint, ProjectionDomainError, destination, distance
 from proxilab.service import (
     DEFAULT_CLASS_TABLE,
     DISTANCE_CLASSES_M,
     AreaRestrictedError,
     FloodWaitError,
-    GridNode,
     LocalClient,
     ProtocolError,
     Quantizer,
@@ -33,8 +32,10 @@ from proxilab.service import (
 )
 
 from conftest import (
+    oracle_bbox_local,
     oracle_class,
     oracle_haversine,
+    oracle_inv_y,
     oracle_node,
     oracle_node_latlon,
     oracle_region_cells,
@@ -50,59 +51,46 @@ def make_service(targets, **kwargs) -> Service:
 
 class TestQuantizer:
     def test_origin_node(self):
-        assert Quantizer().snap(GeoPoint(0.0, 0.0)) == GridNode(0, 0)
+        assert Quantizer().snap_point(GeoPoint(0.0, 0.0)) == GeoPoint(0.0, 0.0)
 
     def test_rounding_split_at_half_cell(self):
         q = Quantizer()
-        assert q.snap(GeoPoint(0.0024, 0.0)) == GridNode(0, 0)
-        assert q.snap(GeoPoint(0.0026, 0.0)) == GridNode(0, 1)
+        assert q.snap_point(GeoPoint(0.0024, 0.0)) == GeoPoint(0.0, 0.0)
+        assert q.snap_point(GeoPoint(0.0026, 0.0)) == GeoPoint(*oracle_node_latlon(0, 1))
 
     def test_row_index_at_60_degrees(self):
-        assert Quantizer().snap(GeoPoint(60.0, 0.0)).j == 15091
+        assert Quantizer().snap_point(GeoPoint(60.0, 0.0)).lat == oracle_node_latlon(0, 15091)[0]
 
     def test_snap_idempotent_10k_points(self):
         q = Quantizer()
         rng = random.Random(99)
         for _ in range(10_000):
             p = GeoPoint(rng.uniform(-84.9, 84.9), rng.uniform(-180, 180))
-            node = q.snap(p)
-            assert q.snap(q.node_point(node)) == node
+            node = q.snap_point(p)
+            assert q.snap_point(node) == node
 
-    def test_snap_matches_oracle(self):
-        q = Quantizer()
-        rng = random.Random(12)
-        for _ in range(1000):
-            p = GeoPoint(rng.uniform(-84, 84), rng.uniform(-180, 180))
-            node = q.snap(p)
-            assert (node.i, node.j) == oracle_node(p.lat, p.lon)
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lat=st.floats(-85.0, 85.0),
+        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
+        grid=st.sampled_from((0.005, 0.0125, 0.05, 0.2)),
+    )
+    def test_snap_matches_oracle(self, lat, lon, grid):
+        got = Quantizer(grid).snap_point(GeoPoint(lat, lon))
+        want_lat, want_lon = oracle_node_latlon(*oracle_node(lat, lon, grid), grid)
+        assert (got.lat.hex(), got.lon.hex()) == (want_lat.hex(), want_lon.hex())
 
     @pytest.mark.parametrize("grid_deg", [0.0, -0.005, math.nan, math.inf])
     def test_pitch_must_be_finite_and_positive(self, grid_deg):
         with pytest.raises(ValueError, match="grid_deg must be finite and positive"):
             Quantizer(grid_deg)
 
-    def test_domain_error(self):
-        with pytest.raises(ProjectionDomainError):
-            Quantizer().snap(GeoPoint(85.1, 0.0))
-
     def test_snap_point_domain_error_at_the_mercator_limit(self):
         q = Quantizer()
-        for lat in (85.06, -85.06, 89.0):
+        for lat in (85.06, -85.06, 85.1, 89.0):
             with pytest.raises(ProjectionDomainError):
                 q.snap_point(GeoPoint(lat, 0.0))
         assert abs(q.snap_point(GeoPoint(85.0599, 0.0)).lat) < 85.06
-
-    @settings(max_examples=500, deadline=None)
-    @given(
-        lat=st.floats(-85.0, 85.0),
-        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
-        grid=st.sampled_from((0.005, 0.0125, 0.05)),
-    )
-    def test_snap_point_is_bit_identical_to_node_point_of_snap(self, lat, lon, grid):
-        q = Quantizer(grid)
-        p = GeoPoint(lat, lon)
-        got, want = q.snap_point(p), q.node_point(q.snap(p))
-        assert (got.lat.hex(), got.lon.hex()) == (want.lat.hex(), want.lon.hex())
 
     def test_cell_size_examples(self):
         q = Quantizer()
@@ -114,13 +102,13 @@ class TestQuantizer:
     def test_adjacent_nodes_are_cell_size_apart_in_both_axes(self):
         q = Quantizer()
         for lat in (0.0, 23.0, 40.0, 60.0, 71.3):
-            node = q.snap(GeoPoint(lat, 10.0))
-            p0 = q.node_point(node)
-            east = q.node_point(GridNode(node.i + 1, node.j))
-            north = q.node_point(GridNode(node.i, node.j + 1))
+            i, j = oracle_node(lat, 10.0)
+            p0 = q.snap_point(GeoPoint(lat, 10.0))
+            east = oracle_node_latlon(i + 1, j)
+            north = oracle_node_latlon(i, j + 1)
             s = q.cell_size(p0.lat)
-            assert oracle_haversine(p0.lat, p0.lon, east.lat, east.lon) == pytest.approx(s, rel=1e-4)
-            assert oracle_haversine(p0.lat, p0.lon, north.lat, north.lon) == pytest.approx(s, rel=1e-4)
+            assert oracle_haversine(p0.lat, p0.lon, *east) == pytest.approx(s, rel=1e-4)
+            assert oracle_haversine(p0.lat, p0.lon, *north) == pytest.approx(s, rel=1e-4)
 
 
 class TestClassify:
@@ -392,9 +380,8 @@ class TestSearch:
         assert svc_eq.search("a", GeoPoint(0.005, 0.005), 0.0) == [("t", 1000)]
         t40 = GeoPoint(40.0, 0.0)
         svc_40 = make_service([("t", t40)])
-        q = svc_40.quantizer
-        node = q.snap(t40)
-        diag = q.node_point(GridNode(node.i + 1, node.j + 1))
+        i, j = oracle_node(t40.lat, t40.lon)
+        diag = GeoPoint(*oracle_node_latlon(i + 1, j + 1))
         assert svc_40.search("a", diag, 0.0) == [("t", 500)]
 
     def test_results_sorted_by_class_then_id(self):
@@ -453,25 +440,30 @@ class TestSearch:
         for k in range(50):
             # points spread inside one cell: identical snapped position
             p = GeoPoint(40.0 + rng.uniform(-0.002, 0.002), -3.0 + rng.uniform(-0.002, 0.002))
-            node = svc.quantizer.snap(p)
+            node = svc.quantizer.snap_point(p)
             if base is None:
                 base_node, base = node, svc.search("a", p, k * 3600.0)
             elif node == base_node:
                 assert svc.search("a", p, k * 3600.0) == base
 
     def test_search_matches_oracle_over_region(self):
+        # Every node within the oracle's region reach of the target, from
+        # the equator to the Mercator limit and across the antimeridian.
         rng = random.Random(21)
-        for lat in (0.0, 5.0, 40.0, 60.0):
-            target = GeoPoint(lat + rng.uniform(-0.002, 0.002), rng.uniform(-1, 1))
+        places = [(lat, rng.uniform(-1, 1)) for lat in (0.0, 5.0, 40.0, 60.0, 80.0, -80.0, 84.9, -84.9)]
+        places.append((60.0, -179.99))
+        for lat, lon in places:
+            target = GeoPoint(lat + rng.uniform(-0.002, 0.002), lon)
             svc = make_service([("t", target)])
-            q = svc.quantizer
-            node = q.snap(target)
-            for di in range(-3, 4):
-                for dj in range(-3, 4):
-                    finder = q.node_point(GridNode(node.i + di, node.j + dj))
-                    ts = ((di + 4) * 10 + dj + 4) * 3600.0
+            i, j = oracle_node(target.lat, target.lon)
+            reach = int(800.0 / svc.quantizer.cell_size(target.lat)) + 2
+            ts = 0.0
+            for di in range(-reach, reach + 1):
+                for dj in range(-reach, reach + 1):
+                    finder = GeoPoint(*oracle_node_latlon(i + di, j + dj))
                     got = dict(svc.search("a", finder, ts))
-                    assert got.get("t") == oracle_class(finder, target)
+                    assert got.get("t") == oracle_class(finder, target), (lat, lon, di, dj)
+                    ts += 3600.0
 
     def test_region_is_exactly_the_sub_750m_cells(self):
         # brute-force enumeration: the 500-region is a plus at the equator
@@ -480,6 +472,24 @@ class TestSearch:
         assert eq_cells == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
         sq_cells = oracle_region_cells(GeoPoint(40.0, -3.0))
         assert sq_cells == {(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+
+    @pytest.mark.parametrize("lat", [84.9, -84.9])
+    def test_oracle_region_holds_near_the_mercator_limit(self, lat):
+        # Cells are 49.5 m here, so the region is 31 cells wide; a fixed
+        # +-7 cell enumeration would cut it at 15 cells.
+        target = GeoPoint(lat, 0.0)
+        i0, j0 = oracle_node(target.lat, target.lon)
+        n_lat, n_lon = oracle_node_latlon(i0, j0)
+        wide = {
+            (di, dj)
+            for di in range(-60, 61)
+            for dj in range(-60, 61)
+            if oracle_haversine(*oracle_node_latlon(i0 + di, j0 + dj), n_lat, n_lon) <= 750.0
+        }
+        assert oracle_region_cells(target) == wide
+        assert max(di for di, _ in wide) == 15
+        x_lo, x_hi, _, _ = oracle_bbox_local(target)
+        assert (x_lo, x_hi) == pytest.approx((-766.91, 766.91), abs=0.01)
 
     def test_determinism_across_instances(self):
         def run(svc):
@@ -759,7 +769,7 @@ class TestIndexedSearch:
         # would end the walk after "b".
         q = Quantizer(0.2)
         a = GeoPoint(0.0999, 0.001)
-        assert q.snap(a) == q.snap(GeoPoint(0.0, 0.0)) == GridNode(0, 0)
+        assert q.snap_point(a) == q.snap_point(GeoPoint(0.0, 0.0)) == GeoPoint(0.0, 0.0)
         svc = make_service([("a", a), ("b", GeoPoint(0.0, 0.0))], quantizer=q, max_results=1)
         assert svc.search("x", GeoPoint(0.0, 0.0), 0.0) == [("a", 500)]
 
@@ -806,8 +816,8 @@ class TestIndexedSearch:
         # though it lies 16.7 km away. The far record makes `near` search its
         # window of blocks instead of returning a lone record.
         q = Quantizer(0.1)
-        target = destination(from_mercator(MercatorPoint(0.0, 0.15)), 180.0, 1.0)
-        assert q.snap(target) == GridNode(0, 1)
+        target = destination(GeoPoint(oracle_inv_y(0.15), 0.0), 180.0, 1.0)
+        assert q.snap_point(target) == GeoPoint(*oracle_node_latlon(0, 1, 0.1))
         querier = GeoPoint(0.001, 0.001)
         assert distance(querier, target) > 16_500.0
         svc = make_service([("t", target), ("far", GeoPoint(40.0, -3.0))], quantizer=q)
