@@ -18,10 +18,10 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import analysis, prober, wire
-from .geo import GeoPoint
+from .geo import GeoPoint, LocalFrameRangeError, ProjectionDomainError
 from .prober import AttackBannedError, ProbeConfig, TargetNotFoundError, collect_transitions
 from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
-from .service import LocalClient, Quantizer, RegistryFormatError, Service, TargetRegistry
+from .service import LocalClient, ProtocolError, Quantizer, RegistryFormatError, Service, TargetRegistry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,6 +203,15 @@ def cmd_attack(args) -> int:
         except AttackBannedError as exc:
             print(f"error: banned during {exc.step}: {exc.cause.code}", file=sys.stderr)
             return EXIT_BANNED
+        except ProjectionDomainError as exc:  # the hint or a probe past the Mercator limit
+            print(f"error: query outside the service's domain: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ProtocolError, wire.DecodeError) as exc:  # e.g. BAD_REQUEST from --endpoint
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"error: connection to --endpoint failed: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         prober.write_transitions(args.out, tset, config=config.to_dict())
         print(
             f"collected {len(tset)} transition(s) in {tset.total_queries} queries"
@@ -238,6 +247,9 @@ def cmd_analyze(args) -> int:
         report = analysis.build_report(tset, anchor)
     except analysis.InsufficientCoverageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except LocalFrameRangeError as exc:
+        print(f"error: transitions far from the registry position of {tset.target!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     analysis.write_report_json(args.out, report, config=meta.get("config", {}))
     print(f"report -> {args.out}")

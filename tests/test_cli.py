@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import socket
+import threading
 
 import pytest
 
@@ -30,8 +31,10 @@ from proxilab.service import (
     DEFAULT_GRID_DEG,
     DEFAULT_SPEED_LIMIT_MPS,
     FloodWaitError,
+    Service,
+    TargetRegistry,
 )
-from proxilab.wire import TcpClient
+from proxilab.wire import ApiServer, TcpClient
 
 CONFIG_KEYS = {
     "seed", "grid_deg", "quota", "speed_limit", "accuracy",
@@ -147,6 +150,45 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_walk_past_the_mercator_limit_over_tcp_exits_with_config_error(self, tmp_path, capsys):
+        # The server answers the walk's first query beyond 85.06 deg with
+        # BAD_REQUEST, which the client raises as a ProtocolError.
+        registry = TargetRegistry()
+        registry.add("alice", GeoPoint(*POLAR_TARGET))
+        out = tmp_path / "t.jsonl"
+        with ApiServer(Service(registry), "127.0.0.1", 0) as server:
+            code = main([
+                "attack", "--endpoint", "%s:%d" % server.address, "--target", "alice",
+                "--hint", "%r,%r" % POLAR_TARGET, "--seed", "0", "--out", str(out),
+            ])
+        assert code == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "BAD_REQUEST" in errors[0]
+        assert not out.exists()
+
+    def test_dropped_connection_exits_with_config_error(self, tmp_path, capsys):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def drop_after_first_request():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(4096)
+
+            server = threading.Thread(target=drop_after_first_request)
+            server.start()
+            out = tmp_path / "t.jsonl"
+            code = main([
+                "attack", "--endpoint", "%s:%d" % listener.getsockname(), "--target", "alice",
+                "--hint", "0,0", "--out", str(out),
+            ])
+            server.join(timeout=5.0)
+        assert code == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "closed the connection" in errors[0]
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_report_from_transitions(self, tmp_path, registry_file):
@@ -260,6 +302,11 @@ class TestServe:
         assert len(errors) == 1 and f"argument {flag}:" in errors[0]
 
 
+# A registry position the service accepts, 0.005 deg of latitude short of
+# the Mercator limit: the walk around it queries beyond 85.06 deg.
+POLAR_TARGET = (85.055, 0.0)
+
+
 def _file(path, text: str) -> str:
     path.write_text(text)
     return str(path)
@@ -295,6 +342,18 @@ _OVERLONG_INT = "1" + "0" * 5_000
 # Each case builds argv from (tmp_path, registry_file) and names a fragment
 # its one error line must hold.
 BAD_INPUTS = [
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "polar.jsonl", '{"id": "alice", "lat": %r, "lon": %r}\n' % POLAR_TARGET),
+                          "--target", "alice", "--seed", "0", "--out", str(tmp / "t.jsonl")],
+        "outside the service's domain", id="walk-past-the-mercator-limit",
+    ),
+    pytest.param(_attack_with("--hint", "86,0"), "outside the service's domain", id="hint-past-the-mercator-limit"),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD)),
+                          "--targets", _file(tmp / "far.jsonl", '{"id": "alice", "lat": 1.0, "lon": 0.0}\n'),
+                          "--out", str(tmp / "r.json")],
+        "far from the registry position", id="transitions-far-from-registry-position",
+    ),
     pytest.param(
         lambda tmp, reg: ["attack", "--targets", reg, "--target", "alice", "--hint", "0,inf",
                           "--out", str(tmp / "t.jsonl")],
