@@ -206,8 +206,8 @@ def cmd_attack(args) -> int:
         except ProjectionDomainError as exc:  # the hint or a probe past the Mercator limit
             print(f"error: query outside the service's domain: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except (ProtocolError, wire.DecodeError) as exc:  # e.g. BAD_REQUEST from --endpoint
-            print(f"error: {exc}", file=sys.stderr)
+        except (ProtocolError, wire.DecodeError) as exc:  # BAD_REQUEST included
+            print(f"error: bad reply from --endpoint: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except OSError as exc:
             print(f"error: connection to --endpoint failed: {exc}", file=sys.stderr)

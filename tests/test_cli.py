@@ -42,6 +42,11 @@ CONFIG_KEYS = {
 }
 
 
+# A registry position the service accepts, 0.005 deg of latitude short of
+# the Mercator limit: the walk around it queries beyond 85.06 deg.
+POLAR_TARGET = (85.055, 0.0)
+
+
 @pytest.fixture()
 def registry_file(tmp_path):
     path = tmp_path / "targets.jsonl"
@@ -166,17 +171,24 @@ class TestAttack:
         assert len(errors) == 1 and "BAD_REQUEST" in errors[0]
         assert not out.exists()
 
-    def test_dropped_connection_exits_with_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reply, fragment", [
+        pytest.param(b"", "closed the connection", id="dropped"),
+        pytest.param(b"not json\n", "invalid JSON", id="garbled"),
+    ])
+    def test_endpoint_that_drops_or_garbles_the_reply_exits_with_config_error(
+        self, tmp_path, reply, fragment, capsys
+    ):
         with socket.socket() as listener:
             listener.bind(("127.0.0.1", 0))
             listener.listen(1)
 
-            def drop_after_first_request():
+            def answer_first_request():
                 conn, _ = listener.accept()
                 with conn:
                     conn.recv(4096)
+                    conn.sendall(reply)
 
-            server = threading.Thread(target=drop_after_first_request)
+            server = threading.Thread(target=answer_first_request)
             server.start()
             out = tmp_path / "t.jsonl"
             code = main([
@@ -186,7 +198,7 @@ class TestAttack:
             server.join(timeout=5.0)
         assert code == EXIT_CONFIG
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "closed the connection" in errors[0]
+        assert len(errors) == 1 and fragment in errors[0]
         assert not out.exists()
 
 
@@ -300,11 +312,6 @@ class TestServe:
         assert exc.value.code == EXIT_CONFIG
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"argument {flag}:" in errors[0]
-
-
-# A registry position the service accepts, 0.005 deg of latitude short of
-# the Mercator limit: the walk around it queries beyond 85.06 deg.
-POLAR_TARGET = (85.055, 0.0)
 
 
 def _file(path, text: str) -> str:
