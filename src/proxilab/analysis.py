@@ -356,36 +356,48 @@ class SimulatorLab:
         return x * math.sin(theta) + y * math.cos(theta)
 
     def ladder(self, base: GeoPoint, bearing: float, step: float, end: float):
-        """Deploy the target every `step` meters from base along the bearing,
-        up to `end` meters, and yield (offset, boundary) per rung."""
-        offset = 0.0
-        while offset <= end:
+        """Deploy the target at rung k, k * step meters from base along the
+        bearing, for every rung up to `end` meters, and yield (offset,
+        boundary) per rung."""
+        for k in range(_last_rung(step, end) + 1):
+            offset = k * step
             yield offset, self.boundary(base, bearing, offset)
-            offset += step
+
+
+def _last_rung(step: float, end: float) -> int:
+    """The largest k with k * step <= end: the last rung of a ladder that
+    ends at `end`. Each rung's offset is k * step, computed when needed,
+    so no list of rungs is kept however small the step."""
+    k = math.floor(end / step)  # off by at most one from rounding
+    while k * step > end:
+        k -= 1
+    while (k + 1) * step <= end:
+        k += 1
+    return k
 
 
 def _next_shift(
-    lab: SimulatorLab, base: GeoPoint, offsets: list[float], lo: int, ref: float, threshold: float
+    lab: SimulatorLab, base: GeoPoint, step: float, last: int, lo: int, ref: float, threshold: float
 ) -> tuple[int, float] | None:
-    """First rung after `lo` whose eastward boundary lies more than
-    `threshold` from `ref`, with that boundary; None when no rung does.
+    """First rung after `lo`, up to rung `last`, whose eastward boundary
+    lies more than `threshold` from `ref`, with that boundary; None when no
+    rung does.
 
     Gallops with strides of 1, 2, 4, ... rungs until the boundary has
     moved, then bisects between the last unmoved and the first moved rung.
     """
-    last = len(offsets) - 1
     ok, stride = lo, 1
     while True:
         if ok == last:
             return None
         k = min(ok + stride, last)
-        b = lab.boundary(base, 90.0, offsets[k])
+        b = lab.boundary(base, 90.0, k * step)
         if abs(b - ref) > threshold:
             break
         ok, stride = k, 2 * stride
     while k - ok > 1:
         mid = (ok + k) // 2
-        b_mid = lab.boundary(base, 90.0, offsets[mid])
+        b_mid = lab.boundary(base, 90.0, mid * step)
         if abs(b_mid - ref) > threshold:
             k, b = mid, b_mid
         else:
@@ -396,10 +408,11 @@ def _next_shift(
 def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_STEP_M) -> float:
     """Tile size from boundary shifts under small target displacements.
 
-    The rungs are the deployments `SimulatorLab.ladder` makes every `step`
-    meters east of base, up to `TILE_SCAN_SPAN_M`. A shift is a rung whose
-    class boundary lies more than five times the probe accuracy from the
-    previous rung's. Wherever a cell is well above that threshold (below
+    The rungs are those of `SimulatorLab.ladder`: rung k lies k * step
+    meters east of base, up to `TILE_SCAN_SPAN_M`, and its offset is
+    computed when it is deployed. A shift is a rung whose class boundary
+    lies more than five times the probe accuracy from the previous
+    rung's. Wherever a cell is well above that threshold (below
     about 84.2 degrees) the boundary stays put between shifts, so rather
     than deploy every rung the scan gallops from the last shift with
     strides of 1, 2, 4, ... rungs until the boundary has moved, then
@@ -414,20 +427,15 @@ def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_
     if not step > 0:  # NaN too
         raise ValueError("step must be positive")
     threshold = 5.0 * lab.cfg.accuracy  # real shifts are >= one tile, far above jitter
-    # Accumulated as in `ladder`, so every rung offset has the same bits.
-    offsets: list[float] = []
-    offset = 0.0
-    while offset <= TILE_SCAN_SPAN_M:
-        offsets.append(offset)
-        offset += step
+    last = _last_rung(step, TILE_SCAN_SPAN_M)
     shift_offsets: list[float] = []
     lo, ref = 0, lab.boundary(base, 90.0, 0.0)
     while len(shift_offsets) < TILE_SHIFTS:
-        found = _next_shift(lab, base, offsets, lo, ref, threshold)
+        found = _next_shift(lab, base, step, last, lo, ref, threshold)
         if found is None:
             break
         lo, ref = found
-        shift_offsets.append(offsets[lo] - step / 2.0)
+        shift_offsets.append(lo * step - step / 2.0)
     if len(shift_offsets) < 2:
         raise NoShiftObservedError(
             f"only {len(shift_offsets)} boundary shift(s) within {TILE_SCAN_SPAN_M} m; shorten the step"

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from . import analysis, prober, wire
 from .geo import GeoPoint, LocalFrameRangeError, ProjectionDomainError
-from .prober import AttackBannedError, ProbeConfig, TargetNotFoundError, collect_transitions
+from .prober import AttackBannedError, InconsistentOracleError, ProbeConfig, TargetNotFoundError, collect_transitions
 from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
 from .service import LocalClient, ProtocolError, Quantizer, RegistryFormatError, Service, TargetRegistry
 
@@ -51,13 +51,12 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def service(self, registry: TargetRegistry, admission: str = "standard") -> Service:
+    def service(self, registry: TargetRegistry) -> Service:
         return Service(
             registry,
             Quantizer(self.grid_deg),
             daily_quota=self.quota,
             speed_limit_mps=self.speed_limit,
-            admission=admission,
         )
 
     def probe_config(self) -> ProbeConfig:
@@ -123,7 +122,7 @@ def build_server(args) -> wire.ApiServer:
     registry = TargetRegistry.from_jsonl(args.targets)
     if len(registry) == 0:
         print("warning: registry is empty, serving anyway", file=sys.stderr)
-    service = _config_from_args(args).service(registry, admission=args.admission)
+    service = _config_from_args(args).service(registry)
     host, port = args.bind
     server = wire.ApiServer(service, host, port)
     print(f"serving {len(registry)} target(s) on {server.address[0]}:{server.address[1]}")
@@ -205,6 +204,9 @@ def cmd_attack(args) -> int:
             return EXIT_BANNED
         except ProjectionDomainError as exc:  # the hint or a probe past the Mercator limit
             print(f"error: query outside the service's domain: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except InconsistentOracleError as exc:  # the walker's polar defect, or a moving target
+            print(f"error: walk got an unexpected class: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except (ProtocolError, wire.DecodeError) as exc:  # BAD_REQUEST included
             print(f"error: bad reply from --endpoint: {exc}", file=sys.stderr)
@@ -430,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--targets", required=True, help="registry JSONL file")
     add_config(p_serve, "quota", "daily query quota per account")
     add_config(p_serve, "speed_limit", "implied speed ban threshold, m/s")
-    p_serve.add_argument("--admission", choices=("standard", "anchored"), default="standard",
-                         help="admission policy; 'anchored' is the area-restriction countermeasure")
     p_serve.set_defaults(func=cmd_serve)
 
     p_attack = sub.add_parser("attack", help="collect transitions around one target")

@@ -111,7 +111,7 @@ class TransitionSet:
     """Attack output plus query accounting.
 
     total_queries equals exploration_queries plus the sum of per-transition
-    queries_spent; together they match the service's admission ledger.
+    queries_spent; together they match the queries the service admitted.
     """
 
     target: str
@@ -425,8 +425,8 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             except ValueError as exc:
                 raise ValueError(f"{where}: dir: {exc}") from exc
             queries = _field(rec, "queries", where)
-            if type(queries) is not int:
-                raise ValueError(f"{where}: queries must be an int, got {queries!r}")
+            if type(queries) is not int or queries < 0:
+                raise ValueError(f"{where}: queries must be a non-negative int, got {queries!r}")
             transitions.append(Transition(inside, outside, bearing, direction, queries))
     if target is None:
         raise ValueError(f"{path}: no transition records")

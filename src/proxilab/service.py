@@ -45,10 +45,6 @@ DEFAULT_GRID_DEG = 0.005
 DEFAULT_DAILY_QUOTA = 1000
 DEFAULT_SPEED_LIMIT_MPS = 25.0  # 90 km/h
 DEFAULT_BAN_S = 86_400.0
-# Anchored admission: an account's first query in each window declares
-# its area, and later queries in that window must stay within the radius.
-ANCHOR_RADIUS_M = 10.0
-ANCHOR_WINDOW_S = 600.0
 DEFAULT_MAX_RESULTS = 100
 SECONDS_PER_DAY = 86_400.0
 
@@ -78,12 +74,6 @@ class FloodWaitError(QueryRejected):
 
 class SpeedBanError(QueryRejected):
     code = "SPEED_BAN"
-
-
-class AreaRestrictedError(QueryRejected):
-    """Rejection from the anchored-admission countermeasure variant."""
-
-    code = "AREA_RESTRICTED"
 
 
 class ProtocolError(Exception):
@@ -196,8 +186,6 @@ class AccountState:
     ban_code: str | None = None
     ban_events: int = 0
     total_admitted: int = 0
-    anchor_pos: GeoPoint | None = None
-    anchor_window: int | None = None
 
 
 @dataclass(frozen=True)
@@ -456,12 +444,12 @@ class Service:
     one bisection of a table of class cuts.
 
     Per-account state is mutated under a per-account lock so a threaded
-    server can serialize admissions per account. The walk then runs under
-    the registry's lock, so one search sees one registry state; under the
-    GIL that costs a threaded server no throughput. One table maps each
-    account to its state and its lock; a search reads it without a lock,
-    and only the first use of an account takes the table's guard, so two
-    threads never create two states for one account.
+    server can serialize each account's quota and ban checks. The walk
+    then runs under the registry's lock, so one search sees one registry
+    state; under the GIL that costs a threaded server no throughput. One
+    table maps each account to its state and its lock; a search reads it
+    without a lock, and only the first use of an account takes the table's
+    guard, so two threads never create two states for one account.
     """
 
     def __init__(
@@ -471,10 +459,7 @@ class Service:
         daily_quota: int = DEFAULT_DAILY_QUOTA,
         speed_limit_mps: float = DEFAULT_SPEED_LIMIT_MPS,
         max_results: int = DEFAULT_MAX_RESULTS,
-        admission: str = "standard",
     ):
-        if admission not in ("standard", "anchored"):
-            raise ValueError(f"unknown admission policy {admission!r}")
         if max_results < 1:
             raise ValueError("max_results must be at least 1")
         # `_admit` compares against both, and every comparison with NaN is
@@ -489,7 +474,6 @@ class Service:
         self.daily_quota = daily_quota
         self.speed_limit_mps = speed_limit_mps
         self.max_results = max_results
-        self.admission = admission
         self._accounts: dict[str, tuple[AccountState, threading.Lock]] = {}
         self._guard = threading.Lock()
         # Snapping moves a target by at most half of grid_deg in latitude and
@@ -534,17 +518,6 @@ class Service:
         if st.day_epoch != day:
             st.day_epoch = day
             st.queries_today = 0
-        if self.admission == "anchored":
-            window = int(ts // ANCHOR_WINDOW_S)
-            if st.anchor_window != window:
-                st.anchor_window = window
-                st.anchor_pos = pos
-            elif distance(st.anchor_pos, pos) > ANCHOR_RADIUS_M:
-                next_window = (window + 1) * ANCHOR_WINDOW_S
-                raise AreaRestrictedError(
-                    "position outside the declared area for this window",
-                    retry_after_s=next_window - ts,
-                )
         if st.queries_today >= self.daily_quota:
             st.ban_until = ts + DEFAULT_BAN_S
             st.ban_code = "FLOOD_WAIT"

@@ -18,7 +18,6 @@ import threading
 
 from .geo import GeoPoint, ProjectionDomainError, is_number
 from .service import (
-    AreaRestrictedError,
     FloodWaitError,
     ProtocolError,
     QueryRejected,
@@ -32,7 +31,7 @@ REQUEST_FIELDS = {"v", "type", "account", "lat", "lon", "ts"}
 # Longest request line, newline included, the server reads; a search request
 # is about 100 bytes plus its account name.
 MAX_REQUEST_BYTES = 4096
-_CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError, AreaRestrictedError)}
+_CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError)}
 # BAD_REQUEST is the client's fault, INTERNAL the server's.
 ERROR_CODES = ("BAD_REQUEST", "INTERNAL", *_CODE_TO_ERROR)
 

@@ -8,11 +8,12 @@ import math
 import multiprocessing
 import pickle
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxilab import analysis, geo, prober, service, wire
 from proxilab.geo import GeoPoint, to_local
@@ -251,6 +252,31 @@ class TestTileSize:
         with pytest.raises(NoShiftObservedError):
             estimate_tile_size(SimulatorLab(), GeoPoint(0, 0), step=3000.0)
 
+    def test_fine_step_keeps_no_rung_list(self):
+        # Rungs are computed when deployed: at 1e-4 m a list of them would
+        # hold 40 million floats, about 1.3 GB.
+        lab = SimulatorLab()
+        tracemalloc.start()
+        try:
+            l_est = estimate_tile_size(lab, GeoPoint(SWEEP_CITIES[0][1], SWEEP_CITIES[0][2]), step=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert 400.0 <= l_est <= 560.0
+
+    # One end each where end / step rounds to one rung too many and to one
+    # rung too few.
+    @example(step=61.538074287064475, end=33195360.336522613)
+    @example(step=3.08, end=316851.92)
+    @given(
+        step=st.floats(1e-6, 5000.0),
+        end=st.sampled_from([TILE_SCAN_SPAN_M, 4.5 * EQ_CELL_M, 0.0, 1234.5]),
+    )
+    def test_last_rung_is_the_largest_within_end(self, step, end):
+        k = analysis._last_rung(step, end)
+        assert k * step <= end < (k + 1) * step
+
     # Two thirds of the longitudes lie within a degree of the antimeridian.
     # Above about 84.2 deg the cell is too close to
     # the shift threshold for the boundary to stay put between shifts, and
@@ -373,7 +399,6 @@ _EXCEPTION_ARGS = {
     "QueryRejected": ("rejected", 5.0),
     "FloodWaitError": ("quota spent", 3600.0),
     "SpeedBanError": ("too fast", 60.0),
-    "AreaRestrictedError": ("outside the anchored area", 596.0),
 }
 
 

@@ -296,6 +296,15 @@ class TestServe:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
+    def test_admission_is_a_usage_error(self, registry_file, capsys):
+        # Standard admission is the service's only policy.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--targets", registry_file, "--bind", "127.0.0.1:0", "--admission", "anchored"]
+            )
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --admission" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--speed-limit", "nan"),
         ("--speed-limit", "inf"),
@@ -355,6 +364,17 @@ BAD_INPUTS = [
         "outside the service's domain", id="walk-past-the-mercator-limit",
     ),
     pytest.param(_attack_with("--hint", "86,0"), "outside the service's domain", id="hint-past-the-mercator-limit"),
+    # The walker's polar defect: a class outside the 500/1000 pair mid-walk.
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "t80.jsonl", '{"id": "alice", "lat": 80.0, "lon": 0.0}\n'),
+                          "--target", "alice", "--seed", "5", "--out", str(tmp / "t.jsonl")],
+        "walk got an unexpected class: class 2000", id="inconsistent-walk-at-80",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "t82.jsonl", '{"id": "alice", "lat": 82.0, "lon": 0.0}\n'),
+                          "--target", "alice", "--seed", "1", "--out", str(tmp / "t.jsonl")],
+        "walk got an unexpected class: class 2000", id="inconsistent-walk-at-82",
+    ),
     pytest.param(
         lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD)),
                           "--targets", _file(tmp / "far.jsonl", '{"id": "alice", "lat": 1.0, "lon": 0.0}\n'),
@@ -453,6 +473,7 @@ def test_bad_input_writes_no_output(tmp_path, registry_file, argv, fragment):
     pytest.param(json.dumps({**_RECORD, "bearing": "north"}), id="non-number-bearing"),
     pytest.param(json.dumps({**_RECORD, "queries": 1.5}), id="non-int-queries"),
     pytest.param(json.dumps({**_RECORD, "queries": True}), id="bool-queries"),
+    pytest.param(json.dumps({**_RECORD, "queries": -3}), id="negative-queries"),
     pytest.param(json.dumps({**_RECORD, "inside": [True, 0.0]}), id="bool-transition-lat"),
     pytest.param(json.dumps({**_RECORD, "outside": [0.0, 10**400]}), id="huge-int-transition-lon"),
     pytest.param(json.dumps({**_RECORD, "bearing": 10**400}), id="huge-int-bearing"),

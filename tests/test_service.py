@@ -19,7 +19,6 @@ from proxilab.geo import GeoPoint, ProjectionDomainError, destination, distance
 from proxilab.service import (
     DEFAULT_CLASS_TABLE,
     DISTANCE_CLASSES_M,
-    AreaRestrictedError,
     FloodWaitError,
     LocalClient,
     ProtocolError,
@@ -346,22 +345,6 @@ class TestAdmission:
         svc.search("a", GeoPoint(0, 0), 100.0)
         with pytest.raises(ProtocolError):
             svc.search("a", GeoPoint(0, 0), 99.0)
-
-    def test_anchored_admission_variant(self):
-        svc = make_service([("t", GeoPoint(0, 0))], admission="anchored")
-        home = GeoPoint(0.0001, 0.0001)
-        svc.search("a", home, 0.0)
-        svc.search("a", destination(home, 45.0, 8.0), 1.0)
-        with pytest.raises(AreaRestrictedError) as ei:
-            svc.search("a", destination(home, 45.0, 500.0), 30.0)
-        assert ei.value.retry_after_s > 0
-        # the rejection is a filter, not a ban: nearby queries still work
-        svc.search("a", home, 31.0)
-        # a new window re-anchors at the first declared position
-        far = destination(home, 45.0, 500.0)
-        # pace the move so the speed check stays happy
-        svc.search("a", far, 700.0)
-        svc.search("a", destination(far, 10.0, 5.0), 701.0)
 
 
 class TestSearch:
