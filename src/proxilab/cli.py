@@ -30,6 +30,11 @@ EXIT_BANNED = 4
 EXIT_NOT_FOUND = 5
 
 SEED_ENV_VAR = "PROXILAB_SEED"
+# --step must exceed this: the tile scan's rung count, 4000 m / step,
+# overflows a float for a step near the smallest one.
+MIN_STEP_M = 1e-6
+# The most rungs past its base that figures' plot ladder deploys.
+PLOT_LADDER_RUNGS = 250
 # Each pooled run gives two edge samples per axis to the uniform fits.
 MIN_FIGURE_RUNS = analysis.UNIFORM_FIT_MIN_SAMPLES // 2
 
@@ -97,15 +102,19 @@ def _parse_runs(text: str) -> int:
     return _parse_count(text, MIN_FIGURE_RUNS)
 
 
-def _parse_positive(text: str) -> float:
+def _parse_positive(text: str, minimum: float = 0.0) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     # False for NaN, which every comparison downstream would pass over.
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    if not minimum < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number above {minimum:g}, got {text!r}")
     return value
+
+
+def _parse_step(text: str) -> float:
+    return _parse_positive(text, MIN_STEP_M)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -343,10 +352,12 @@ def cmd_figures(args) -> int:
             "cell_to_box_area_ratio": cell * cell / rect40.area,
         }
 
-        # Boundary-shift ladder behind the tile-size estimate, coarse for the plot.
+        # Boundary-shift ladder behind the tile-size estimate, coarse for the
+        # plot: rungs ten steps apart, but no more than PLOT_LADDER_RUNGS.
         ladder_end = 4.5 * Quantizer(config.grid_deg).cell_size(0.0)
+        ladder_step = max(config.step * 10, ladder_end / PLOT_LADDER_RUNGS)
         ladder = analysis.SimulatorLab(grid_deg=config.grid_deg).ladder(
-            GeoPoint(*analysis.SWEEP_CITIES[0][1:]), 90.0, config.step * 10, ladder_end
+            GeoPoint(*analysis.SWEEP_CITIES[0][1:]), 90.0, ladder_step, ladder_end
         )
         analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder, config=cfg_dict)
 
@@ -459,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tile size and max error across latitudes")
     add_common(p_sweep)
     p_sweep.add_argument("--targets", default=None, help="locations JSONL (defaults to the bundled city list)")
-    add_config(p_sweep, "step", "target displacement step, meters")
+    add_config(p_sweep, "step", "target displacement step, meters", parse=_parse_step)
     p_sweep.add_argument("--out", required=True, help="sweep CSV output")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figures", help="regenerate the canned experiment datasets")
     add_common(p_fig)
     p_fig.add_argument("--runs", type=_parse_runs, default=300, help="deployments for the pooled distributions")
-    add_config(p_fig, "step")
+    add_config(p_fig, "step", parse=_parse_step)
     p_fig.add_argument("--out", required=True, help="output directory")
     p_fig.set_defaults(func=cmd_figures)
 

@@ -41,7 +41,7 @@ def _wrap_lon(lon: float) -> float:
     return -180.0 if lon == 180.0 else lon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """Position in degrees. Longitude is normalized to [-180, 180)."""
 
@@ -63,9 +63,9 @@ _set_field = object.__setattr__
 def _point(lat: float, lon: float) -> GeoPoint:
     """GeoPoint(lat, lon) for a latitude already in [-90, 90] and a finite
     longitude, without the public constructor's checks; the longitude
-    wrap is `_wrap_lon`, inlined, so the bits are the same. The fields are
-    set as the dataclass __init__ sets them; writing through `__dict__`
-    instead would make every later read of them slower."""
+    wrap is `_wrap_lon`, inlined, so the bits are the same. The two slots
+    are written with `object.__setattr__`, as the frozen dataclass's
+    __init__ writes them."""
     lon = (lon + 180.0) % 360.0 - 180.0
     p = _new_object(GeoPoint)
     _set_field(p, "lat", lat)

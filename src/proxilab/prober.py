@@ -160,6 +160,7 @@ class ProbeSession:
         self._pos: GeoPoint | None = None
         self._ts = start_ts
         self._step = "start"
+        self._pace_speed = self.cfg.speed_limit * PACE_MARGIN
 
     @property
     def exploration_queries(self) -> int:
@@ -173,7 +174,7 @@ class ProbeSession:
         if self._pos is None:
             ts = self._ts
         else:
-            ts = pace(self._pos, pos, self._ts, speed=self.cfg.speed_limit * PACE_MARGIN)
+            ts = pace(self._pos, pos, self._ts, speed=self._pace_speed)
         try:
             entries = self.client.search(pos, ts)
         except QueryRejected as exc:
@@ -222,10 +223,18 @@ class ProbeSession:
         than reset_distance from the anchor."""
         self._step = "probe-outward"
         self._mark = self.queries
+        jump, reset = self.cfg.jump, self.cfg.reset_distance
+        # After k jumps the walk lies at most distance(anchor, start) + k jump
+        # from the anchor (triangle inequality); destination and distance
+        # round by about 1e-7 m per jump, far inside the one-jump margin, so
+        # while the bound stays a jump short of reset_distance the exact
+        # test below could not fire.
+        bound = distance(anchor, start)
         cur = start
         while True:
-            nxt = destination(cur, bearing, self.cfg.jump)
-            if distance(anchor, nxt) > self.cfg.reset_distance:
+            nxt = destination(cur, bearing, jump)
+            bound += jump
+            if bound > reset - jump and distance(anchor, nxt) > reset:
                 raise _WalkReset
             cls = self.query_class(nxt)
             if cls == OUTER_CLASS_M:
@@ -246,7 +255,14 @@ class ProbeSession:
         transition, charging it every query since the outward probe or
         inward walk that led here began."""
         self._step = "bisect"
-        while distance(inside, outside) > self.cfg.accuracy:
+        accuracy = self.cfg.accuracy
+        # Each step about halves the straddle: the haversine of the half
+        # offset differs from half the parent's by far less than 2x (under
+        # about 5 % even for a 50 km straddle at 84.9 deg), so while the
+        # halved estimate exceeds twice the accuracy, so does the straddle
+        # the accuracy.
+        span = distance(inside, outside)
+        while span > accuracy:
             mid = midpoint(inside, outside)
             cls = self.query_class(mid)
             if cls == INNER_CLASS_M:
@@ -255,6 +271,7 @@ class ProbeSession:
                 outside = mid
             else:
                 raise InconsistentOracleError(f"class {cls!r} while bisecting at {mid}")
+            span = span / 2.0 if span > 4.0 * accuracy else distance(inside, outside)
         spent = self.queries - self._mark
         self._charged += spent
         return Transition(

@@ -443,13 +443,11 @@ class Service:
     `geo.distance` between the snapped points, and hands it to `classify`,
     one bisection of a table of class cuts.
 
-    Per-account state is mutated under a per-account lock so a threaded
-    server can serialize each account's quota and ban checks. The walk
-    then runs under the registry's lock, so one search sees one registry
-    state; under the GIL that costs a threaded server no throughput. One
-    table maps each account to its state and its lock; a search reads it
-    without a lock, and only the first use of an account takes the table's
-    guard, so two threads never create two states for one account.
+    One lock, the registry's, guards the account table, admission and the
+    walk: a search takes it once, so a threaded server serializes each
+    account's quota and ban checks, two threads never create two states
+    for one account, and one search sees one registry state. Under the GIL
+    that costs a threaded server no throughput.
     """
 
     def __init__(
@@ -474,8 +472,7 @@ class Service:
         self.daily_quota = daily_quota
         self.speed_limit_mps = speed_limit_mps
         self.max_results = max_results
-        self._accounts: dict[str, tuple[AccountState, threading.Lock]] = {}
-        self._guard = threading.Lock()
+        self._accounts: dict[str, AccountState] = {}
         # Snapping moves a target by at most half of grid_deg in latitude and
         # in longitude, so by the haversine formula by at most
         # 2R asin(sqrt(2) sin(grid_deg / 4)); a millimetre more covers the
@@ -491,17 +488,9 @@ class Service:
 
     # -- account state ----------------------------------------------------
 
-    def _account_entry(self, account_id: str) -> tuple[AccountState, threading.Lock]:
-        entry = self._accounts.get(account_id)
-        if entry is None:
-            with self._guard:
-                entry = self._accounts.get(account_id)
-                if entry is None:
-                    entry = self._accounts[account_id] = (AccountState(id=account_id), threading.Lock())
-        return entry
-
     def account(self, account_id: str) -> AccountState:
-        return self._account_entry(account_id)[0]
+        with self.registry._lock:
+            return self._accounts.get(account_id) or self._accounts.setdefault(account_id, AccountState(id=account_id))
 
     def _admit(self, st: AccountState, pos: GeoPoint, ts: float) -> None:
         if st.last_ts is not None and ts < st.last_ts:
@@ -543,9 +532,6 @@ class Service:
         ascending by class then id, truncated to max_results."""
         # Snapping first rejects a polar query before it is admitted.
         query_pt = self.quantizer.snap_point(pos)
-        st, lock = self._account_entry(account_id)
-        with lock:
-            self._admit(st, pos, ts)
         quantizer = self.quantizer
         snapped = self._snapped
         stop_at = self._stop_at
@@ -557,6 +543,8 @@ class Service:
         two_r = 2.0 * EARTH_RADIUS_M
         registry = self.registry
         with registry._lock:
+            st = self._accounts.get(account_id) or self._accounts.setdefault(account_id, AccountState(id=account_id))
+            self._admit(st, pos, ts)
             for group, rest_m in registry.walk(query_pt, self._reach_m):
                 seen = len(out)
                 for rec in group:
@@ -593,8 +581,9 @@ class Service:
             out = [e for e in out if e[1] <= kth]
         # By class, then id: two stable sorts on one-type keys are about
         # twice as fast as one sort on (class, id) keys.
-        out.sort(key=_ID)
-        out.sort(key=_CLASS)
+        if len(out) > 1:
+            out.sort(key=_ID)
+            out.sort(key=_CLASS)
         return out[:k]
 
 

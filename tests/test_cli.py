@@ -19,6 +19,7 @@ from proxilab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_FOUND,
     EXIT_OK,
+    PLOT_LADDER_RUNGS,
     ExperimentConfig,
     build_parser,
     build_server,
@@ -438,6 +439,8 @@ BAD_INPUTS = [
     pytest.param(_sweep_with("--step", "0"), "--step", id="zero-step"),
     pytest.param(_sweep_with("--step", "inf"), "--step", id="inf-step"),
     pytest.param(_sweep_with("--step", "nan"), "--step", id="nan-step"),
+    # The tile scan's rung count, 4000 / step, overflows a float here.
+    pytest.param(_sweep_with("--step", "1e-310"), "--step", id="subnormal-step"),
     pytest.param(_sweep_with("--grid-deg", "nan"), "--grid-deg", id="nan-sweep-grid"),
 ]
 
@@ -560,6 +563,16 @@ class TestFigures:
         assert (out / "edge_offset_x_ecdf.csv").exists()
         assert (out / "radius_ecdf.csv").exists()
         assert (out / "tile_shifts.csv").exists()
+
+    @pytest.mark.parametrize("step, rows", [("10", 26), ("0.01", PLOT_LADDER_RUNGS + 1)])
+    def test_plot_ladder_rung_count_is_bounded(self, tmp_path, step, rows):
+        # Rungs ten steps apart at the default step; a small step still
+        # gives no more than PLOT_LADDER_RUNGS past the base.
+        out = tmp_path / "figs"
+        assert main(["figures", "--runs", "10", "--step", step, "--out", str(out)]) == EXIT_OK
+        lines = (out / "tile_shifts.csv").read_text().splitlines()
+        assert lines[1] == "offset_m,boundary_m"
+        assert len(lines) - 2 == rows
 
     def test_failed_tile_scan_is_written_as_nulls(self, tmp_path):
         # A 3 km step sees fewer than two boundary shifts within the scan's

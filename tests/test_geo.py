@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -287,3 +290,47 @@ class TestTrustedPoints:
         m = midpoint(GeoPoint(0.0, -179.99000000000004), GeoPoint(0.0, -180.01000000000004))
         assert m.lon == -180.0
         self.assert_canonical(m)
+
+
+class TestSlottedGeoPoint:
+    """GeoPoint keeps its two fields in slots and behaves as the plain
+    frozen dataclass did: immutable, picklable, copyable, compared and
+    hashed by value."""
+
+    def test_no_instance_dict(self):
+        p = GeoPoint(12.5, -170.25)
+        assert GeoPoint.__slots__ == ("lat", "lon")
+        assert not hasattr(p, "__dict__")
+        assert not hasattr(destination(p, 45.0, 100.0), "__dict__")
+
+    def test_frozen(self):
+        p = GeoPoint(12.5, -170.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lat = 0.0
+        # A new attribute has no slot; Python before 3.12 reports that from
+        # the frozen __setattr__ as a TypeError, later ones as an
+        # AttributeError.
+        with pytest.raises((AttributeError, TypeError)):
+            p.alt = 0.0
+        assert bits(p) == bits(GeoPoint(12.5, -170.25))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles(self, protocol):
+        p = GeoPoint(-84.9, 180.0)
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is GeoPoint and bits(q) == bits(p)
+
+    def test_copies(self):
+        p = midpoint(GeoPoint(10.0, 179.999), GeoPoint(10.0, -179.999))
+        for q in (copy.copy(p), copy.deepcopy(p), dataclasses.replace(p)):
+            assert type(q) is GeoPoint and bits(q) == bits(p)
+        assert dataclasses.asdict(p) == {"lat": p.lat, "lon": p.lon}
+
+    def test_compares_and_hashes_by_value(self):
+        p = GeoPoint(1.0, 190.0)
+        q = destination(GeoPoint(1.0, -170.0), 0.0, 0.0)
+        assert p == q == GeoPoint(1.0, -170.0)
+        assert p != GeoPoint(1.0, -170.0 + 1e-9)
+        assert hash(p) == hash(q) == hash((1.0, -170.0))
+        assert len({p, q, GeoPoint(1.0, -170.0)}) == 1
+        assert repr(p) == "GeoPoint(lat=1.0, lon=-170.0)"

@@ -7,15 +7,20 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from proxilab.geo import GeoPoint, destination, distance
+from proxilab.geo import GeoPoint, destination, distance, midpoint
 from proxilab.prober import (
+    INNER_CLASS_M,
+    OUTER_CLASS_M,
     PACE_SPEED_MPS,
     Direction,
     DirectionsExhaustedError,
     ProbeConfig,
     ProbeSession,
     TargetNotFoundError,
+    Transition,
+    _WalkReset,
     collect_transitions,
     pace,
     read_transitions,
@@ -398,3 +403,137 @@ class TestGoldenDigests:
                 s = q.snap_point(p)
                 h.update(f"{s.lat.hex()} {s.lon.hex()}\n".encode())
         assert h.hexdigest() == GOLDEN_SNAP
+
+
+class DiscClient:
+    """Reports the inner class within radius_m of center and the outer class
+    beyond it, at any latitude and across the antimeridian."""
+
+    def __init__(self, center: GeoPoint, radius_m: float):
+        self.center = center
+        self.radius_m = radius_m
+
+    def search(self, pos, ts):
+        inside = distance(self.center, pos) <= self.radius_m
+        return [("t", INNER_CLASS_M if inside else OUTER_CLASS_M)]
+
+
+def exact_bisect(sess: ProbeSession, inside: GeoPoint, outside: GeoPoint):
+    """bisect_boundary's loop with the exact straddle tested before every
+    step."""
+    while distance(inside, outside) > sess.cfg.accuracy:
+        mid = midpoint(inside, outside)
+        if sess.query_class(mid) == INNER_CLASS_M:
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
+def exact_probe_outward(sess: ProbeSession, anchor: GeoPoint, start: GeoPoint, bearing: float):
+    """probe_outward's loop with the exact distance from the anchor tested
+    before every jump."""
+    cur = start
+    while True:
+        nxt = destination(cur, bearing, sess.cfg.jump)
+        if distance(anchor, nxt) > sess.cfg.reset_distance:
+            raise _WalkReset
+        if sess.query_class(nxt) == OUTER_CLASS_M:
+            return cur, nxt
+        cur = nxt
+
+
+def outcome(sess: ProbeSession, walk, *args):
+    """The pair a walk returns, bit for bit, or "reset", with the queries
+    it spent."""
+    try:
+        pair = walk(*args)
+    except _WalkReset:
+        return "reset", sess.queries
+    if isinstance(pair, Transition):
+        assert pair.queries_spent == sess.queries
+        pair = pair.inside, pair.outside
+    return [(p.lat.hex(), p.lon.hex()) for p in pair], sess.queries
+
+
+WALK_LATS = st.one_of(st.floats(-84.9, 84.9), st.sampled_from([-84.9, 0.0, 84.9]))
+WALK_LONS = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0]), st.floats(179.99, 180.0))
+
+
+class TestBoundFirstChecks:
+    """The walker skips the haversine of a check that a bound already
+    decides; its queries, pairs and resets must equal those of the loops
+    that compute every exact distance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lat=WALK_LATS,
+        lon=WALK_LONS,
+        bearing=st.floats(0.0, 360.0),
+        accuracy=st.one_of(st.sampled_from([0.5, 1.0, 10.0]), st.floats(0.1, 10.0)),
+        ratio=st.one_of(st.sampled_from([2.0, 4.0]), st.floats(0.5, 4000.0)),
+        edge=st.floats(0.0, 1.0),
+    )
+    @example(lat=84.9, lon=180.0, bearing=90.0, accuracy=10.0, ratio=2.0, edge=0.6)
+    @example(lat=-84.9, lon=-180.0, bearing=0.0, accuracy=10.0, ratio=4.0, edge=0.3)
+    @example(lat=84.9, lon=180.0, bearing=45.0, accuracy=10.0, ratio=4000.0, edge=0.77)
+    def test_bisect_matches_exact_loop(self, lat, lon, bearing, accuracy, ratio, edge):
+        inside = GeoPoint(lat, lon)
+        outside = destination(inside, bearing, ratio * accuracy)
+        client = DiscClient(inside, edge * ratio * accuracy)
+        cfg = ProbeConfig(accuracy=accuracy, jump=2.0 * accuracy)
+        sess, ref = ProbeSession(client, "t", cfg), ProbeSession(client, "t", cfg)
+        assert outcome(sess, sess.bisect_boundary, inside, outside) == outcome(ref, exact_bisect, ref, inside, outside)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lat=WALK_LATS,
+        lon=WALK_LONS,
+        bearing=st.floats(0.0, 360.0),
+        start_bearing=st.floats(0.0, 360.0),
+        jump=st.one_of(st.sampled_from([15.0, 20.0, 100.0, 300.0, 1000.0]), st.floats(1.0, 2000.0)),
+        start_jumps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0)),
+        reset_jumps=st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0)),
+        radius_jumps=st.floats(0.0, 40.0),
+    )
+    @example(lat=84.9, lon=180.0, bearing=0.0, start_bearing=0.0, jump=100.0,
+             start_jumps=1.0, reset_jumps=4.0, radius_jumps=40.0)
+    @example(lat=0.0, lon=-180.0, bearing=270.0, start_bearing=90.0, jump=100.0,
+             start_jumps=1.0, reset_jumps=4.0, radius_jumps=40.0)
+    def test_probe_outward_matches_exact_loop(
+        self, lat, lon, bearing, start_bearing, jump, start_jumps, reset_jumps, radius_jumps
+    ):
+        anchor = GeoPoint(lat, lon)
+        start = destination(anchor, start_bearing, start_jumps * jump)
+        client = DiscClient(anchor, radius_jumps * jump)
+        cfg = ProbeConfig(jump=jump, accuracy=jump / 10.0, reset_distance=reset_jumps * jump)
+        sess, ref = ProbeSession(client, "t", cfg), ProbeSession(client, "t", cfg)
+        assert (outcome(sess, sess.probe_outward, anchor, start, bearing)
+                == outcome(ref, exact_probe_outward, ref, anchor, start, bearing))
+
+    # (reset_distance, lat, lon, seed): outward walks that reset, and the
+    # sha256 of the transitions file, pinned before the bounds went in.
+    RESET_WALKS = {
+        (400.0, 23.0, 51.35, 0): (256, "07d4b381fafc708de263de6d9e8c96440a74b0e6ccff0ea238a6e54b0387f4d1"),
+        (900.0, 60.0, 179.999, 2): (18, "6d3e365cab506b82771600196784bd822f6e483e0aa88e3b44387a2d80abbea3"),
+    }
+
+    @pytest.mark.parametrize("reset, lat, lon, seed", list(RESET_WALKS))
+    def test_walk_with_resets_digest(self, tmp_path, monkeypatch, reset, lat, lon, seed):
+        resets = []
+        probe_outward = ProbeSession.probe_outward
+
+        def counted(self, *args):
+            try:
+                return probe_outward(self, *args)
+            except _WalkReset:
+                resets.append(args)
+                raise
+
+        monkeypatch.setattr(ProbeSession, "probe_outward", counted)
+        client, _ = make_setup(GeoPoint(lat, lon))
+        tset = collect_transitions(client, "t", GeoPoint(lat, lon), ProbeConfig(reset_distance=reset),
+                                   rng=random.Random(seed))
+        path = tmp_path / "transitions.jsonl"
+        write_transitions(str(path), tset, config={"seed": seed})
+        assert (len(resets), hashlib.sha256(path.read_bytes()).hexdigest()) == self.RESET_WALKS[reset, lat, lon, seed]

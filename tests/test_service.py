@@ -352,6 +352,55 @@ class TestAdmission:
             svc.search("a", GeoPoint(0, 0), 99.0)
 
 
+class TestOneLock:
+    """Admission and the walk share the registry's lock; a search that is
+    rejected must still release it."""
+
+    @staticmethod
+    def assert_released(svc: Service) -> None:
+        assert not svc.registry._lock.locked()
+        t = threading.Thread(target=svc.search, args=("other", GeoPoint(0.0, 0.0), 0.0), daemon=True)
+        t.start()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert svc.account("other").total_admitted == 1
+
+    @pytest.mark.parametrize("quota, second, exc", [
+        pytest.param(1, GeoPoint(0.0, 0.0), FloodWaitError, id="flood-wait"),
+        pytest.param(10, GeoPoint(0.0, 1.0), SpeedBanError, id="speed-ban"),
+    ])
+    def test_banned_search_releases_the_lock(self, quota, second, exc):
+        svc = make_service([("t", GeoPoint(0.0, 0.0))], daily_quota=quota)
+        svc.search("a", GeoPoint(0.0, 0.0), 0.0)
+        with pytest.raises(exc):
+            svc.search("a", second, 5.0)
+        self.assert_released(svc)
+
+    def test_protocol_error_releases_the_lock(self):
+        svc = make_service([("t", GeoPoint(0.0, 0.0))])
+        svc.search("a", GeoPoint(0.0, 0.0), 10.0)
+        with pytest.raises(ProtocolError):
+            svc.search("a", GeoPoint(0.0, 0.0), 9.0)
+        self.assert_released(svc)
+
+    def test_polar_query_releases_the_lock(self):
+        svc = make_service([("t", GeoPoint(0.0, 0.0))])
+        with pytest.raises(ProjectionDomainError):
+            svc.search("a", GeoPoint(85.06, 0.0), 0.0)
+        self.assert_released(svc)
+
+    def test_account_takes_the_search_lock(self):
+        svc = make_service([("t", GeoPoint(0.0, 0.0))])
+        got = []
+        with svc.registry._lock:
+            t = threading.Thread(target=lambda: got.append(svc.account("a")), daemon=True)
+            t.start()
+            t.join(timeout=0.2)
+            assert t.is_alive() and got == []
+        t.join(timeout=10.0)
+        assert not t.is_alive() and got[0] is svc.account("a")
+
+
 class TestSearch:
     def test_same_cell_reports_500(self):
         svc = make_service([("t", GeoPoint(0.001, 0.001))])
