@@ -104,6 +104,9 @@ class ProbeConfig:
             raise ValueError("accuracy must be positive")
         if not self.accuracy < self.jump < math.inf:
             raise ValueError("jump must exceed accuracy and be finite")
+        # A distance of 0 is a walk that resets at its first step.
+        if not self.reset_distance >= 0:
+            raise ValueError("reset_distance must be a non-negative distance")
 
 
 @dataclass

@@ -16,7 +16,7 @@ import socket
 import socketserver
 import threading
 
-from .geo import GeoPoint, ProjectionDomainError, is_number
+from .geo import GeoPoint, ProjectionDomainError, _point, is_number
 from .service import (
     FloodWaitError,
     ProtocolError,
@@ -39,28 +39,83 @@ _log = logging.getLogger(__name__)
 # One encoder for every message: json.dumps with keyword arguments would
 # build a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# The two hot messages, written in _ENCODER's layout (sorted keys, compact
+# separators) from a template; `encode` fills them field by field.
+_RESULT_FIELDS = {"v", "type", "entries"}
+_ENTRY_FIELDS = {"id", "class_m"}
+_SEARCH_LINE = '{"account":%s,"lat":%s,"lon":%s,"ts":%s,"type":%s,"v":%s}\n'
+_RESULT_LINE = '{"entries":[%s],"type":%s,"v":%s}\n'
+_ENTRY = '{"class_m":%s,"id":%s}'
+# What the ensure_ascii encoder writes for a str.
+_quote = json.encoder.encode_basestring_ascii
+# The C scanner that json.loads drives, called without its Python wrapper.
+_scan = json.decoder.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
 
 
 class DecodeError(ValueError):
     """Line could not be decoded into a valid protocol message."""
 
 
+def _value(v) -> str:
+    """A field value as _ENCODER writes it inside a message: an exact int
+    or a finite float is its repr; anything else (a bool, NaN, a nested
+    object) goes to _ENCODER, which writes it or raises as it would have."""
+    if type(v) is int or (type(v) is float and math.isfinite(v)):
+        return repr(v)
+    return _ENCODER.encode(v)
+
+
 def encode(msg: dict) -> bytes:
-    """One message per line, deterministic byte layout."""
+    """One message per line, deterministic byte layout.
+
+    A search request or a result listing whose string fields are str is
+    written from its template, fields in sorted-key order so that the first
+    bad value raises as _ENCODER would; every other message goes to
+    _ENCODER. The bytes are the same either way."""
+    if type(msg) is dict:
+        keys = msg.keys()
+        if keys == REQUEST_FIELDS:
+            account, kind = msg["account"], msg["type"]
+            if type(account) is str and type(kind) is str:
+                return (_SEARCH_LINE % (
+                    _quote(account), _value(msg["lat"]), _value(msg["lon"]),
+                    _value(msg["ts"]), _quote(kind), _value(msg["v"]),
+                )).encode("ascii")
+        elif keys == _RESULT_FIELDS:
+            entries, kind = msg["entries"], msg["type"]
+            if type(entries) is list and type(kind) is str:
+                parts = []
+                for e in entries:
+                    if type(e) is not dict or e.keys() != _ENTRY_FIELDS or type(e["id"]) is not str:
+                        break
+                    parts.append(_ENTRY % (_value(e["class_m"]), _quote(e["id"])))
+                else:
+                    return (_RESULT_LINE % (",".join(parts), _quote(kind), _value(msg["v"]))).encode("ascii")
     return (_ENCODER.encode(msg) + "\n").encode("utf-8")
 
 
 def decode(line: bytes | str) -> dict:
-    """Parse one line into a message dict; raises DecodeError on junk."""
+    """Parse one line into a message dict; raises DecodeError on junk,
+    with json.loads's message."""
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError("not valid UTF-8") from exc
     try:
-        msg = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"invalid JSON: {exc.msg}") from exc
+        msg, end = _scan(line, _skip_space(line, 0).end())
+    except StopIteration:
+        # Only the top-level value fails this way. A BOM always fails here,
+        # at the first character: it is neither whitespace nor a value.
+        why = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line.startswith("\ufeff") else "Expecting value"
+        raise DecodeError(f"invalid JSON: {why}") from None
+    # A JSONDecodeError, an int past the digit limit, or arrays or objects
+    # nested past the recursion limit: a line of 2,000 '[' does that.
+    except (ValueError, RecursionError) as exc:
+        raise DecodeError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+    if _skip_space(line, end).end() != len(line):
+        raise DecodeError("invalid JSON: Extra data")
     if not isinstance(msg, dict):
         raise DecodeError("message must be a JSON object")
     return msg
@@ -69,7 +124,7 @@ def decode(line: bytes | str) -> dict:
 def decode_request(line: bytes | str) -> dict:
     """Decode and validate a search request line."""
     msg = decode(line)
-    if set(msg) != REQUEST_FIELDS:
+    if msg.keys() != REQUEST_FIELDS:
         raise DecodeError(f"request fields must be exactly {sorted(REQUEST_FIELDS)}")
     # JSON true and 1.0 compare equal to 1 in Python; only the int is version 1.
     if type(msg["v"]) is not int or msg["v"] != PROTOCOL_VERSION:
@@ -147,7 +202,9 @@ class _Handler(socketserver.StreamRequestHandler):
         except DecodeError:
             return error_response("BAD_REQUEST")
         try:
-            pos = GeoPoint(msg["lat"], msg["lon"])
+            # decode_request checked what _point assumes: lat in [-90, 90]
+            # and a finite lon.
+            pos = _point(msg["lat"], msg["lon"])
             entries = service.search(msg["account"], pos, msg["ts"])
         except QueryRejected as exc:
             return error_response(exc.code, exc.retry_after_s)
@@ -226,9 +283,14 @@ class TcpClient:
         resp = self.request(make_search(self.account, pos, ts))
         if resp.get("type") == "result":
             try:
-                return [(e["id"], e["class_m"]) for e in resp["entries"]]
+                entries = [(e["id"], e["class_m"]) for e in resp["entries"]]
             except (KeyError, TypeError) as exc:
                 raise ProtocolError(f"malformed result entries: {exc!r}") from exc
+            for tid, cls in entries:
+                # A bool is an int to isinstance, but no class.
+                if type(tid) is not str or type(cls) is not int:
+                    raise ProtocolError(f"malformed result entries: id {tid!r}, class_m {cls!r}")
+            return entries
         if resp.get("type") == "error":
             code = resp.get("code")
             retry = resp.get("retry_after_s", 0.0)

@@ -87,6 +87,12 @@ class TestProbeConfig:
         with pytest.raises(ValueError):
             ProbeConfig(**kwargs)
 
+    @pytest.mark.parametrize("reset_distance", [math.nan, -5e-324, -1.0, -math.inf])
+    def test_reset_distance_must_be_a_distance(self, reset_distance):
+        # A reset test against NaN never fires; a negative one is no distance.
+        with pytest.raises(ValueError, match="reset_distance"):
+            ProbeConfig(reset_distance=reset_distance)
+
 
 class TestFindInwardStart:
     def test_hint_on_target_returned_immediately(self):

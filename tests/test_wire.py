@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from proxilab import cli
 from proxilab.geo import GeoPoint
 from proxilab.service import (
     FloodWaitError,
@@ -243,6 +244,17 @@ class TestServer:
         assert errors == []
 
 
+    def test_deeply_nested_line_gets_bad_request_not_internal(self, served, caplog):
+        # 2,000 nested arrays fit in MAX_REQUEST_BYTES but pass the parser's
+        # recursion limit: the client's fault, so no traceback is logged.
+        (host, port), _ = served
+        with TcpClient(host, port, "a") as client:
+            resp = client.request_line(b"[" * 2000 + b"\n")
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+            assert client.search(GeoPoint(0, 0), 0.0) == [("t", 500)]
+        assert not any(r.exc_info for r in caplog.records)
+
+
 def one_shot_server(reply: bytes):
     """A stdlib socket server that reads one request line, answers it with
     `reply` and closes; returns its address and its thread."""
@@ -269,6 +281,50 @@ class TestClientResponses:
         (host, port), thread = one_shot_server(encode({"v": 1, "type": "result", "entries": entries}))
         with TcpClient(host, port, "a", timeout=10.0) as client:
             with pytest.raises(ProtocolError, match="malformed result"):
+                client.search(GeoPoint(0, 0), 0.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"id": 5, "class_m": "500"}, {"id": "t", "class_m": "500"}, {"id": 5, "class_m": 500},
+         {"id": "t", "class_m": True}, {"id": "t", "class_m": 500.0}, {"id": None, "class_m": 500}],
+        ids=["both_wrong", "class_m_a_string", "id_a_number", "class_m_a_bool", "class_m_a_float", "id_null"],
+    )
+    def test_entry_of_the_wrong_types_raises_protocol_error(self, entry):
+        # Taken as-is, the walker would read the target as not listed.
+        (host, port), thread = one_shot_server(encode({"v": 1, "type": "result", "entries": [entry]}))
+        with TcpClient(host, port, "a", timeout=10.0) as client:
+            with pytest.raises(ProtocolError, match="malformed result entries"):
+                client.search(GeoPoint(0, 0), 0.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_int_past_the_digit_limit_is_a_bad_reply(self, tmp_path, capsys):
+        # 5,000 digits are past CPython's int-to-str conversion limit, so the
+        # parser raises a plain ValueError rather than a JSONDecodeError.
+        reply = b'{"entries":[{"class_m":' + b"1" * 5000 + b',"id":"t"}],"type":"result","v":1}\n'
+        (host, port), thread = one_shot_server(reply)
+        with TcpClient(host, port, "a", timeout=10.0) as client:
+            with pytest.raises(DecodeError, match="invalid JSON"):
+                client.search(GeoPoint(0, 0), 0.0)
+        thread.join(timeout=10.0)
+        (host, port), thread = one_shot_server(reply)
+        out = tmp_path / "t.jsonl"
+        code = cli.main([
+            "attack", "--endpoint", f"{host}:{port}", "--target", "t",
+            "--hint", "0,0", "--out", str(out),
+        ])
+        thread.join(timeout=10.0)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad reply from --endpoint") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_deeply_nested_reply_raises_decode_error(self):
+        (host, port), thread = one_shot_server(b'{"v":' * 3000 + b"1" + b"}" * 3000 + b"\n")
+        with TcpClient(host, port, "a", timeout=10.0) as client:
+            with pytest.raises(DecodeError, match="invalid JSON"):
                 client.search(GeoPoint(0, 0), 0.0)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
