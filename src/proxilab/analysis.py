@@ -192,14 +192,16 @@ def _crossing_sides(tset: TransitionSet, anchor: GeoPoint, rect: Rect) -> set[st
     return sides
 
 
-def bounding_box(tset: TransitionSet, anchor: GeoPoint) -> Rect:
-    """Component-wise min/max box over transition midpoints.
+def bounding_box(tset: TransitionSet, anchor: GeoPoint, pts: list[tuple[float, float]] | None = None) -> Rect:
+    """Component-wise min/max box over transition midpoints; `pts`, when
+    given, is `midpoints_local(tset, anchor)` computed by the caller.
 
     Requires at least four transitions with crossings on at least three
     distinct region faces; anything less produces badly one-sided or
     degenerate boxes and is rejected.
     """
-    pts = midpoints_local(tset, anchor)
+    if pts is None:
+        pts = midpoints_local(tset, anchor)
     if len(pts) < 4:
         raise InsufficientCoverageError(f"need >= 4 transitions, have {len(pts)}")
     rect = Rect.from_points(pts)
@@ -569,15 +571,17 @@ class DeploymentPool:
 
 def build_report(tset: TransitionSet, anchor: GeoPoint) -> PrivacyReport:
     """Assemble the per-deployment report, with the tile size derived from
-    the box."""
-    rect = bounding_box(tset, anchor)
+    the box. The transition midpoints are taken once, for the box, its
+    face check and the shape."""
+    pts = midpoints_local(tset, anchor)
+    rect = bounding_box(tset, anchor, pts)
     tile_size_m = _tile_from_box(rect)
     return PrivacyReport(
         rect=rect,
         centroid=centroid(rect),
         tile_size_m=tile_size_m,
         max_error_m=max_localization_error(tile_size_m),
-        shape=classify_shape(tset, anchor=anchor),
+        shape=classify_shape(pts),
         n_transitions=len(tset),
         n_queries=tset.total_queries,
     )

@@ -117,6 +117,15 @@ def _parse_step(text: str) -> float:
     return _parse_positive(text, MIN_STEP_M)
 
 
+def _parse_out_file(text: str) -> str:
+    """An output file path in a writable directory, checked while the flags
+    are parsed, so that an output that cannot be written costs no query."""
+    parent = os.path.dirname(text) or os.curdir
+    if os.path.isdir(text) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
+    return text
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The fields the subcommand has flags for; the others keep their
     ExperimentConfig defaults."""
@@ -301,7 +310,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_figures(args) -> int:
     config = _config_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # --out names a file, or lies under one
+        print(f"error: cannot create the --out directory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     cfg_dict = config.to_dict()
     seed = config.seed
 
@@ -456,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p_attack, "jump")
     add_config(p_attack, "max_queries")
     add_config(p_attack, "transitions")
-    p_attack.add_argument("--out", required=True, help="transitions JSONL output")
+    p_attack.add_argument("--out", type=_parse_out_file, required=True, help="transitions JSONL output")
     p_attack.set_defaults(func=cmd_attack)
 
     # analyze echoes the config of the attack that wrote the transitions,
@@ -464,14 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="build a privacy report from transitions")
     p_analyze.add_argument("--transitions", required=True, help="transitions JSONL input")
     p_analyze.add_argument("--targets", required=True, help="registry JSONL with the true target position")
-    p_analyze.add_argument("--out", required=True, help="report JSON output")
+    p_analyze.add_argument("--out", type=_parse_out_file, required=True, help="report JSON output")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="tile size and max error across latitudes")
     add_common(p_sweep)
     p_sweep.add_argument("--targets", default=None, help="locations JSONL (defaults to the bundled city list)")
     add_config(p_sweep, "step", "target displacement step, meters", parse=_parse_step)
-    p_sweep.add_argument("--out", required=True, help="sweep CSV output")
+    p_sweep.add_argument("--out", type=_parse_out_file, required=True, help="sweep CSV output")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("figures", help="regenerate the canned experiment datasets")

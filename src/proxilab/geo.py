@@ -57,19 +57,20 @@ class GeoPoint:
 
 
 _new_object = object.__new__
-_set_field = object.__setattr__
+_set_lat = GeoPoint.__dict__["lat"].__set__
+_set_lon = GeoPoint.__dict__["lon"].__set__
 
 
 def _point(lat: float, lon: float) -> GeoPoint:
     """GeoPoint(lat, lon) for a latitude already in [-90, 90] and a finite
     longitude, without the public constructor's checks; the longitude
     wrap is `_wrap_lon`, inlined, so the bits are the same. The two slots
-    are written with `object.__setattr__`, as the frozen dataclass's
-    __init__ writes them."""
+    are written through their member descriptors, which is what
+    `object.__setattr__` in the frozen dataclass's __init__ ends in."""
     lon = (lon + 180.0) % 360.0 - 180.0
     p = _new_object(GeoPoint)
-    _set_field(p, "lat", lat)
-    _set_field(p, "lon", -180.0 if lon == 180.0 else lon)
+    _set_lat(p, lat)
+    _set_lon(p, -180.0 if lon == 180.0 else lon)
     return p
 
 

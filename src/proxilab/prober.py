@@ -163,6 +163,9 @@ class ProbeSession:
         self._pos: GeoPoint | None = None
         self._ts = start_ts
         self._step = "start"
+        # Bound once: query_class reads these on every query.
+        self._search = client.search
+        self._max_queries = self.cfg.max_queries
         self._pace_speed = self.cfg.speed_limit * PACE_MARGIN
 
     @property
@@ -172,14 +175,14 @@ class ProbeSession:
     def query_class(self, pos: GeoPoint) -> int | None:
         """Paced, budgeted query; returns the reported class for the target
         or None when the target is not listed."""
-        if self.queries >= self.cfg.max_queries:
+        if self.queries >= self._max_queries:
             raise _BudgetExhausted
         if self._pos is None:
             ts = self._ts
         else:
-            ts = pace(self._pos, pos, self._ts, speed=self._pace_speed)
+            ts = pace(self._pos, pos, self._ts, self._pace_speed)
         try:
-            entries = self.client.search(pos, ts)
+            entries = self._search(pos, ts)
         except QueryRejected as exc:
             raise AttackBannedError(self._step, exc) from exc
         self._pos = pos

@@ -30,7 +30,6 @@ from .geo import (
     GeoPoint,
     _point,
     check_lat,
-    distance,
     is_number,
 )
 
@@ -441,7 +440,9 @@ class Service:
     is never classified from its old position. The search takes the
     haversine distance to each entry inline, with the bits of
     `geo.distance` between the snapped points, and hands it to `classify`,
-    one bisection of a table of class cuts.
+    one bisection of a table of class cuts. A registry of one record, as
+    every attack deployment of the lab holds, skips the walk: its listing
+    is that record's entry, classified, or empty.
 
     One lock, the registry's, guards the account table, admission and the
     walk: a search takes it once, so a threaded server serializes each
@@ -512,10 +513,18 @@ class Service:
             st.ban_code = "FLOOD_WAIT"
             st.ban_events += 1
             raise FloodWaitError("daily query quota exhausted", retry_after_s=DEFAULT_BAN_S)
-        if st.last_pos is not None and st.last_ts is not None:
-            d = distance(st.last_pos, pos)
-            dt = ts - st.last_ts
-            if d > self.speed_limit_mps * dt:
+        last = st.last_pos
+        if last is not None and st.last_ts is not None:
+            # geo.distance(last, pos), operation for operation.
+            a_lat, b_lat = last.lat, pos.lat
+            dphi = (b_lat - a_lat) * RADIANS_PER_DEGREE
+            dlam = ((pos.lon - last.lon + 180.0) % 360.0 - 180.0) * RADIANS_PER_DEGREE
+            h = (
+                sin(dphi / 2.0) ** 2
+                + cos(a_lat * RADIANS_PER_DEGREE) * cos(b_lat * RADIANS_PER_DEGREE) * sin(dlam / 2.0) ** 2
+            )
+            d = 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h)))
+            if d > self.speed_limit_mps * (ts - st.last_ts):
                 st.ban_until = ts + DEFAULT_BAN_S
                 st.ban_code = "SPEED_BAN"
                 st.ban_events += 1
@@ -527,31 +536,51 @@ class Service:
 
     # -- queries -----------------------------------------------------------
 
+    def _snap_entry(self, rec: TargetRecord) -> tuple[TargetRecord, float, float, float]:
+        """Snap rec into its entry: (rec, node lat, node lon, cos node lat)."""
+        p = self.quantizer.snap_point(rec.pos)
+        entry = self._snapped[rec.id] = (rec, p.lat, p.lon, cos(p.lat * RADIANS_PER_DEGREE))
+        return entry
+
     def search(self, account_id: str, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:
         """Nearby listing for one query: [(target id, class meters)], sorted
         ascending by class then id, truncated to max_results."""
         # Snapping first rejects a polar query before it is admitted.
         query_pt = self.quantizer.snap_point(pos)
-        quantizer = self.quantizer
         snapped = self._snapped
-        stop_at = self._stop_at
-        k = self.max_results
-        out: list[tuple[str, int]] = []
-        counts = None  # entries per class, once out holds k of them
         q_lat, q_lon = query_pt.lat, query_pt.lon
         cos_q = cos(q_lat * RADIANS_PER_DEGREE)
         two_r = 2.0 * EARTH_RADIUS_M
         registry = self.registry
+        targets = registry._targets
         with registry._lock:
             st = self._accounts.get(account_id) or self._accounts.setdefault(account_id, AccountState(id=account_id))
             self._admit(st, pos, ts)
+            if len(targets) == 1:
+                # The lab's one-target registry: its record's entry is the
+                # whole listing, or there is none, as the loop below would
+                # list it.
+                (rec,) = targets.values()
+                entry = snapped.get(rec.id)
+                if entry is None or entry[0] is not rec:
+                    entry = self._snap_entry(rec)
+                _, b_lat, b_lon, cos_b = entry
+                # As in the loop below: geo.distance, operation for operation.
+                dphi = (b_lat - q_lat) * RADIANS_PER_DEGREE
+                dlam = ((b_lon - q_lon + 180.0) % 360.0 - 180.0) * RADIANS_PER_DEGREE
+                h = sin(dphi / 2.0) ** 2 + cos_q * cos_b * sin(dlam / 2.0) ** 2
+                cls = classify(two_r * asin(min(1.0, sqrt(h))), account_id in rec.contact_of)
+                return [] if cls is None else [(rec.id, cls)]
+            stop_at = self._stop_at
+            k = self.max_results
+            out: list[tuple[str, int]] = []
+            counts = None  # entries per class, once out holds k of them
             for group, rest_m in registry.walk(query_pt, self._reach_m):
                 seen = len(out)
                 for rec in group:
                     entry = snapped.get(rec.id)
                     if entry is None or entry[0] is not rec:
-                        p = quantizer.snap_point(rec.pos)
-                        entry = snapped[rec.id] = (rec, p.lat, p.lon, cos(p.lat * RADIANS_PER_DEGREE))
+                        entry = self._snap_entry(rec)
                     _, b_lat, b_lon, cos_b = entry
                     # geo.distance(query_pt, snapped point), operation for
                     # operation, with both cosines taken beforehand.

@@ -31,6 +31,9 @@ REQUEST_FIELDS = {"v", "type", "account", "lat", "lon", "ts"}
 # Longest request line, newline included, the server reads; a search request
 # is about 100 bytes plus its account name.
 MAX_REQUEST_BYTES = 4096
+# Longest reply line, newline included, the client reads: a full listing of
+# DEFAULT_MAX_RESULTS entries is a few kB.
+MAX_REPLY_BYTES = 1 << 20
 _CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError)}
 # BAD_REQUEST is the client's fault, INTERNAL the server's.
 ERROR_CODES = ("BAD_REQUEST", "INTERNAL", *_CODE_TO_ERROR)
@@ -274,9 +277,11 @@ class TcpClient:
     def request_line(self, raw: bytes) -> dict:
         """Send pre-encoded bytes (possibly junk) and return the response."""
         self._sock.sendall(raw)
-        line = self._rfile.readline()
+        line = self._rfile.readline(MAX_REPLY_BYTES + 1)
         if not line:
             raise ConnectionError("server closed the connection")
+        if len(line) > MAX_REPLY_BYTES:
+            raise ProtocolError(f"reply line longer than {MAX_REPLY_BYTES} bytes")
         return decode(line)
 
     def search(self, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:

@@ -442,6 +442,24 @@ BAD_INPUTS = [
     # The tile scan's rung count, 4000 / step, overflows a float here.
     pytest.param(_sweep_with("--step", "1e-310"), "--step", id="subnormal-step"),
     pytest.param(_sweep_with("--grid-deg", "nan"), "--grid-deg", id="nan-sweep-grid"),
+    # An --out that cannot be written fails before any query or deployment.
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", reg, "--target", "alice", "--out", str(tmp / "missing" / "t.jsonl")],
+        "--out", id="attack-out-in-a-missing-directory",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD)),
+                          "--targets", reg, "--out", str(tmp / "missing" / "r.json")],
+        "--out", id="analyze-out-in-a-missing-directory",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["sweep", "--step", "20", "--out", str(tmp / "missing" / "s.csv")],
+        "--out", id="sweep-out-in-a-missing-directory",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["figures", "--runs", "10", "--out", os.path.join(_file(tmp / "plain", ""), "figs")],
+        "--out", id="figures-out-under-a-file",
+    ),
 ]
 
 
@@ -467,6 +485,15 @@ def test_bad_input_writes_no_output(tmp_path, registry_file, argv, fragment):
         pass
     if "--out" in args:
         assert not os.path.exists(args[args.index("--out") + 1])
+
+
+def test_figures_out_an_existing_file_exits_with_config_error(tmp_path, capsys):
+    out = tmp_path / "figs"
+    out.write_text("kept\n")
+    assert main(["figures", "--runs", "10", "--out", str(out)]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--out" in errors[0]
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("line", [

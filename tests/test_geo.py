@@ -19,6 +19,7 @@ from proxilab.geo import (
     ProjectionDomainError,
     destination,
     distance,
+    _point,
     from_mercator,
     midpoint,
     to_local,
@@ -317,6 +318,24 @@ class TestSlottedGeoPoint:
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickles(self, protocol):
         p = GeoPoint(-84.9, 180.0)
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is GeoPoint and bits(q) == bits(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lat=st.floats(-90.0, 90.0),
+        lon=st.one_of(LONS, st.floats(allow_nan=False, allow_infinity=False)),
+        protocol=st.integers(0, pickle.HIGHEST_PROTOCOL),
+    )
+    @example(lat=90.0, lon=180.0, protocol=pickle.HIGHEST_PROTOCOL)
+    def test_trusted_point_is_a_frozen_slotted_point_that_pickles(self, lat, lon, protocol):
+        # geo._point writes the slots through their member descriptors;
+        # DeploymentPool ships the points it builds to worker processes.
+        p = _point(lat, lon)
+        assert type(p) is GeoPoint and not hasattr(p, "__dict__")
+        assert bits(p) == bits(GeoPoint(lat, lon))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.lon = 0.0
         q = pickle.loads(pickle.dumps(p, protocol))
         assert type(q) is GeoPoint and bits(q) == bits(p)
 

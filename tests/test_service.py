@@ -915,6 +915,91 @@ class TestIndexedSearch:
         assert svc.search("final", center, 1e6) == brute_force_search(svc, "final", center)
 
 
+def _outcome(svc: Service, account: str, pos: GeoPoint, ts: float):
+    """A search's listing, or the class and retry_after_s of what it raised."""
+    try:
+        return svc.search(account, pos, ts)
+    except ProjectionDomainError:
+        return ProjectionDomainError, None
+    except (FloodWaitError, SpeedBanError) as exc:
+        return type(exc), exc.retry_after_s
+
+
+class TestOneRecordSearch:
+    """A registry of one record is searched without the walk; it must list,
+    admit and reject exactly as the walk does for the same record when a
+    second, unreachable record sends the search through the walk."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        lat=st.floats(-85.05, 85.05),
+        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.95, 180.0), st.floats(-180.0, -179.95)),
+        grid_deg=st.floats(0.005, 0.2),
+        contact=st.booleans(),
+        max_results=st.sampled_from([1, 100]),
+        daily_quota=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A contact in the 100 m class with one result slot, near the Mercator
+    # limit and the antimeridian.
+    @example(lat=85.05, lon=179.99, grid_deg=0.2, contact=True, max_results=1, daily_quota=3, seed=0)
+    @example(lat=40.0, lon=-3.0, grid_deg=0.005, contact=True, max_results=1, daily_quota=8, seed=1)
+    def test_lists_and_rejects_as_the_walk(self, lat, lon, grid_deg, contact, max_results, daily_quota, seed):
+        rng = random.Random(seed)
+        target = GeoPoint(lat, lon)
+        # Thousands of km from the target, so never listed or reached.
+        decoy = GeoPoint(0.0 if abs(lat) > 45.0 else 60.0, lon + 90.0)
+        contacts = ["a"] if contact else []
+        one = make_service([("t", target, contacts)], quantizer=Quantizer(grid_deg),
+                           max_results=max_results, daily_quota=daily_quota)
+        two = make_service([("t", target, contacts), ("decoy", decoy)], quantizer=Quantizer(grid_deg),
+                           max_results=max_results, daily_quota=daily_quota)
+        ts = 0.0
+        for step in range(16):
+            account = rng.choice(("a", "b"))
+            if step % 7 == 6:
+                pos = GeoPoint(rng.choice((-1.0, 1.0)) * rng.uniform(85.06, 90.0), lon)
+            else:
+                pos = _clamped(destination(target, rng.uniform(0.0, 360.0), 3_000.0 * rng.random() ** 2))
+            # Paced or not, so both speed bans and their expiry show up.
+            ts += rng.choice((1.0, 200.0, 90_000.0))
+            assert _outcome(one, account, pos, ts) == _outcome(two, account, pos, ts)
+            if step % 5 == 4:
+                one.registry.move("t", _clamped(destination(target, rng.uniform(0.0, 360.0), 500.0)))
+                two.registry.move("t", one.registry.position("t"))
+        for account in ("a", "b"):
+            assert one.account(account) == two.account(account)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # 20 km from a start within 84.8 deg stays inside the Mercator domain.
+        lat=st.floats(-84.8, 84.8),
+        lon=st.floats(-180.0, 180.0),
+        bearing=st.floats(0.0, 360.0),
+        dist=st.floats(1e-3, 20_000.0),
+        side=st.sampled_from([-1, 0, 1]),
+    )
+    def test_speed_ban_decision_at_the_limit(self, lat, lon, bearing, dist, side):
+        # _admit inlines geo.distance; with the limit set at that distance
+        # over one second, or one ulp either side, its ban decision must be
+        # the one geo.distance gives.
+        start = GeoPoint(lat, lon)
+        moved = destination(start, bearing, dist)
+        d = distance(start, moved)
+        if not d > 0.0:
+            return
+        limit = d if side == 0 else math.nextafter(d, side * math.inf)
+        svc = make_service([("t", start)], speed_limit_mps=limit)
+        svc.search("a", start, 0.0)
+        banned = d > limit * 1.0
+        assert banned == (side < 0)
+        if banned:
+            with pytest.raises(SpeedBanError):
+                svc.search("a", moved, 1.0)
+        else:
+            svc.search("a", moved, 1.0)
+
+
 # Four 15 km city discs: equatorial, 25 deg, 64 deg, and one straddling +-180.
 PIN_CITIES = (GeoPoint(0.0, 10.0), GeoPoint(25.3, 51.5), GeoPoint(64.1, -21.9), GeoPoint(-16.8, 180.0))
 # sha256 of the listings of `seeded_listings()`, one JSON array per line.

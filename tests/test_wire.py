@@ -19,6 +19,7 @@ from proxilab.service import (
     TargetRegistry,
 )
 from proxilab.wire import (
+    MAX_REPLY_BYTES,
     MAX_REQUEST_BYTES,
     ApiServer,
     DecodeError,
@@ -255,9 +256,10 @@ class TestServer:
         assert not any(r.exc_info for r in caplog.records)
 
 
-def one_shot_server(reply: bytes):
+def one_shot_server(reply: bytes, hold_open: bool = False):
     """A stdlib socket server that reads one request line, answers it with
-    `reply` and closes; returns its address and its thread."""
+    `reply` and closes, or with hold_open waits for the client to close
+    first; returns its address and its thread."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)  # a test that never connects frees the thread
 
@@ -265,6 +267,9 @@ def one_shot_server(reply: bytes):
         with listener, listener.accept()[0] as conn, conn.makefile("rb") as rfile:
             rfile.readline()
             conn.sendall(reply)
+            if hold_open:
+                conn.settimeout(10.0)
+                conn.recv(1)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -319,6 +324,23 @@ class TestClientResponses:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: bad reply from --endpoint") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_reply_past_the_cap_is_a_bad_reply(self, tmp_path, capsys):
+        # The client reads at most MAX_REPLY_BYTES of a reply line, so a line
+        # that runs on without a newline, on a connection that stays open,
+        # ends the attack at once rather than waiting for more bytes.
+        (host, port), thread = one_shot_server(b"x" * (MAX_REPLY_BYTES + 1), hold_open=True)
+        out = tmp_path / "t.jsonl"
+        code = cli.main([
+            "attack", "--endpoint", f"{host}:{port}", "--target", "t",
+            "--hint", "0,0", "--out", str(out),
+        ])
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad reply from --endpoint: reply line longer than") and err.count("\n") == 1
         assert not out.exists()
 
     def test_deeply_nested_reply_raises_decode_error(self):
