@@ -8,7 +8,6 @@ boundary accuracy used anywhere else in the package.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from math import asin, atan, atan2, cos, exp, hypot, log, sin, sqrt, tan
 
@@ -104,16 +103,6 @@ def check_lat(lat: float) -> None:
         raise ProjectionDomainError(
             f"|lat| must be below {MAX_MERCATOR_LAT_DEG} deg, got {lat}"
         )
-
-
-def is_number(value) -> bool:
-    """True for a number read from JSON that a float can hold: a float, or
-    an int no larger in magnitude than the largest float, but not JSON true
-    or false, which load as bools, ints to isinstance. Finiteness of a
-    float is the caller's to check."""
-    if isinstance(value, float):
-        return True
-    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def to_mercator(p: GeoPoint) -> MercatorPoint:

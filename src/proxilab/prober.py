@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .geo import GeoPoint, destination, distance, is_number, midpoint
-from .service import DEFAULT_SPEED_LIMIT_MPS, QueryRejected
+from .geo import GeoPoint, destination, distance, midpoint
+from .service import DEFAULT_SPEED_LIMIT_MPS, DecodeError, QueryRejected, decode, is_number
 
 INNER_CLASS_M = 500
 OUTER_CLASS_M = 1000
@@ -400,6 +400,12 @@ def _read_point(value, where: str) -> GeoPoint:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _read_target(value, where: str) -> str:
+    if type(value) is not str or not value:
+        raise ValueError(f"{where}: target must be a non-empty string, got {value!r}")
+    return value
+
+
 def _field(rec: dict, key: str, where: str):
     try:
         return rec[key]
@@ -409,8 +415,9 @@ def _field(rec: dict, key: str, where: str):
 
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     """Inverse of write_transitions; returns the set and the meta record.
-    A malformed line raises a ValueError that names `path:line`; a meta
-    record may leave out its counts (0) and `budget_exhausted` (False)."""
+    A malformed line, such as one whose target is not a non-empty string,
+    raises a ValueError that names `path:line`; a meta record may leave
+    out its counts (0) and `budget_exhausted` (False)."""
     meta: dict = {}
     transitions: list[Transition] = []
     target = None
@@ -421,14 +428,13 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
                 continue
             where = f"{path}:{line_no}"
             try:
-                rec = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-                raise ValueError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+                rec = decode(line)
+            except DecodeError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
             if rec.get("type") == "meta":
                 meta = rec
-                target = rec.get("target")
+                if "target" in rec:
+                    target = _read_target(rec["target"], where)
                 for key in ("total_queries", "exploration_queries"):
                     count = rec.get(key, 0)
                     if type(count) is not int or count < 0:  # a bool is an int to isinstance
@@ -436,7 +442,8 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
                 if not isinstance(rec.get("budget_exhausted", False), bool):
                     raise ValueError(f"{where}: budget_exhausted must be a bool, got {rec['budget_exhausted']!r}")
                 continue
-            target = target or _field(rec, "target", where)
+            rec_target = _read_target(_field(rec, "target", where), where)
+            target = target or rec_target
             inside = _read_point(_field(rec, "inside", where), f"{where}: inside")
             outside = _read_point(_field(rec, "outside", where), f"{where}: outside")
             bearing = _field(rec, "bearing", where)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from bisect import bisect_left
 from collections import Counter
@@ -30,7 +31,6 @@ from .geo import (
     GeoPoint,
     _point,
     check_lat,
-    is_number,
 )
 
 DISTANCE_CLASSES_M = (
@@ -89,6 +89,51 @@ class RegistryFormatError(ValueError):
     def __reduce__(self):
         # The default rebuilds from the message alone, which __init__ rejects.
         return type(self), (self.path, self.line_no, self.reason)
+
+
+class DecodeError(ValueError):
+    """A line that is not one JSON object, or an invalid protocol message."""
+
+
+# The json module's C scanner, called without the Python wrapper of loads.
+_scan = json.decoder.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+
+
+def decode(line: bytes | str) -> dict:
+    """Parse one JSON line (a wire message, a registry or transitions
+    record) into a dict; raises DecodeError with the json module's message."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError("not valid UTF-8") from exc
+    try:
+        msg, end = _scan(line, _skip_space(line, 0).end())
+    except StopIteration:
+        # Only the top-level value fails this way. A BOM always fails here,
+        # at the first character: it is neither whitespace nor a value.
+        why = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line.startswith("\ufeff") else "Expecting value"
+        raise DecodeError(f"invalid JSON: {why}") from None
+    # A JSONDecodeError, an int past the digit limit, or arrays or objects
+    # nested past the recursion limit: a line of 2,000 '[' does that.
+    except (ValueError, RecursionError) as exc:
+        raise DecodeError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+    if _skip_space(line, end).end() != len(line):
+        raise DecodeError("invalid JSON: Extra data")
+    if not isinstance(msg, dict):
+        raise DecodeError("line must be a JSON object")
+    return msg
+
+
+def is_number(value) -> bool:
+    """True for a number read from JSON that a float can hold: a float, or
+    an int no larger in magnitude than the largest float, but not JSON true
+    or false, which load as bools, ints to isinstance. Finiteness of a
+    float is the caller's to check."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 class Quantizer:
@@ -203,7 +248,7 @@ class TargetRegistry:
     """Opted-in targets with true positions, fixed unless explicitly moved.
 
     Records are bucketed by the `BLOCK_DEG` block of their true position so
-    that `near` touches only the blocks around a query. A record is never
+    that `walk` touches only the blocks around a query. A record is never
     mutated: `move` replaces it, so a caller may key derived data on the
     record's identity. Positions must lie inside the Mercator domain.
     """
@@ -236,13 +281,6 @@ class TargetRegistry:
                     del self._blocks[old_block]
             self._blocks.setdefault(new_block, {})[target_id] = rec
 
-    def near(self, center: GeoPoint, radius_m: float) -> list[TargetRecord]:
-        """Every record that `walk` yields, flattened: a superset of the
-        targets within radius_m of center, in no particular order. A
-        registry of one record returns it whatever the cap."""
-        with self._lock:
-            return [rec for group, _ in self.walk(center, radius_m) for rec in group]
-
     def walk(self, center: GeoPoint, radius_m: float):
         """Yield (records, rest_m) for every record in a block that the
         spherical cap of radius_m about center can reach, one block of
@@ -255,13 +293,7 @@ class TargetRegistry:
         that ring k - 1 does not, lat_max being the largest latitude in the
         window, so the far part of the window is never looked up. A cap
         that reaches a pole or spans half the longitudes takes every
-        column, each counted the short way round from center's. A registry
-        of one record yields it whatever the cap."""
-        if len(self._targets) == 1:
-            return ((self._targets.values(), math.inf),)
-        return self._rings(center, radius_m)
-
-    def _rings(self, center: GeoPoint, radius_m: float):
+        column, each counted the short way round from center's."""
         blocks = self._blocks
         get = blocks.get
         delta = radius_m / EARTH_RADIUS_M
@@ -386,11 +418,9 @@ class TargetRegistry:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-                    raise RegistryFormatError(path, line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-                if not isinstance(rec, dict):
-                    raise RegistryFormatError(path, line_no, "record must be an object")
+                    rec = decode(line)
+                except DecodeError as exc:
+                    raise RegistryFormatError(path, line_no, str(exc)) from exc
                 try:
                     tid = rec["id"]
                     lat = rec["lat"]
@@ -610,9 +640,8 @@ class Service:
             out = [e for e in out if e[1] <= kth]
         # By class, then id: two stable sorts on one-type keys are about
         # twice as fast as one sort on (class, id) keys.
-        if len(out) > 1:
-            out.sort(key=_ID)
-            out.sort(key=_CLASS)
+        out.sort(key=_ID)
+        out.sort(key=_CLASS)
         return out[:k]
 
 

@@ -16,13 +16,16 @@ import socket
 import socketserver
 import threading
 
-from .geo import GeoPoint, ProjectionDomainError, _point, is_number
+from .geo import GeoPoint, ProjectionDomainError, _point
 from .service import (
+    DecodeError,
     FloodWaitError,
     ProtocolError,
     QueryRejected,
     Service,
     SpeedBanError,
+    decode,
+    is_number,
 )
 
 PROTOCOL_VERSION = 1
@@ -51,13 +54,6 @@ _RESULT_LINE = '{"entries":[%s],"type":%s,"v":%s}\n'
 _ENTRY = '{"class_m":%s,"id":%s}'
 # What the ensure_ascii encoder writes for a str.
 _quote = json.encoder.encode_basestring_ascii
-# The C scanner that json.loads drives, called without its Python wrapper.
-_scan = json.decoder.JSONDecoder().scan_once
-_skip_space = json.decoder.WHITESPACE.match
-
-
-class DecodeError(ValueError):
-    """Line could not be decoded into a valid protocol message."""
 
 
 def _value(v) -> str:
@@ -96,32 +92,6 @@ def encode(msg: dict) -> bytes:
                 else:
                     return (_RESULT_LINE % (",".join(parts), _quote(kind), _value(msg["v"]))).encode("ascii")
     return (_ENCODER.encode(msg) + "\n").encode("utf-8")
-
-
-def decode(line: bytes | str) -> dict:
-    """Parse one line into a message dict; raises DecodeError on junk,
-    with json.loads's message."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("not valid UTF-8") from exc
-    try:
-        msg, end = _scan(line, _skip_space(line, 0).end())
-    except StopIteration:
-        # Only the top-level value fails this way. A BOM always fails here,
-        # at the first character: it is neither whitespace nor a value.
-        why = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line.startswith("\ufeff") else "Expecting value"
-        raise DecodeError(f"invalid JSON: {why}") from None
-    # A JSONDecodeError, an int past the digit limit, or arrays or objects
-    # nested past the recursion limit: a line of 2,000 '[' does that.
-    except (ValueError, RecursionError) as exc:
-        raise DecodeError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-    if _skip_space(line, end).end() != len(line):
-        raise DecodeError("invalid JSON: Extra data")
-    if not isinstance(msg, dict):
-        raise DecodeError("message must be a JSON object")
-    return msg
 
 
 def decode_request(line: bytes | str) -> dict:

@@ -152,6 +152,14 @@ def oracle_boundary_points(lat_deg: float) -> list[tuple[float, float]]:
     return pts
 
 
+def walk_records(registry, center: GeoPoint, radius_m: float) -> list:
+    """Every record `TargetRegistry.walk` yields, flattened, under the
+    registry's lock: a superset of the targets within radius_m of center,
+    in walk order."""
+    with registry._lock:
+        return [rec for group, _ in registry.walk(center, radius_m) for rec in group]
+
+
 @pytest.fixture(scope="session")
 def midlat_runs():
     """100 seeded attack runs against jittered targets at latitude 40, the

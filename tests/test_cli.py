@@ -354,6 +354,8 @@ def _sweep_with(*flags):
 # A JSON integer too large for a float, and one past int's digit limit.
 _HUGE_INT = "1" + "0" * 400
 _OVERLONG_INT = "1" + "0" * 5_000
+# Arrays nested past the interpreter's recursion limit.
+_NESTED = "[" * 100_000
 
 
 # Each case builds argv from (tmp_path, registry_file) and names a fragment
@@ -420,6 +422,33 @@ BAD_INPUTS = [
         lambda tmp, reg: ["attack", "--targets", _file(tmp / "long.jsonl", f'{{"id": "alice", "lat": 0, "lon": {_OVERLONG_INT}}}\n'),
                           "--target", "alice", "--out", str(tmp / "t.jsonl")],
         "long.jsonl:1:", id="overlong-int-registry-lon",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "deep.jsonl", _NESTED + "\n"),
+                          "--target", "alice", "--out", str(tmp / "t.jsonl")],
+        "deep.jsonl:1: invalid JSON", id="nested-registry-line-attack",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["sweep", "--targets", _file(tmp / "deep.jsonl", _NESTED + "\n"),
+                          "--step", "20", "--out", str(tmp / "s.csv")],
+        "deep.jsonl:1: invalid JSON", id="nested-registry-line-sweep",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["serve", "--targets", _file(tmp / "deep.jsonl", _NESTED + "\n"),
+                          "--bind", "127.0.0.1:0"],
+        "deep.jsonl:1: invalid JSON", id="nested-registry-line-serve",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, _NESTED),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:2: invalid JSON", id="nested-transitions-line",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions",
+                          _file(tmp / "t.jsonl", json.dumps({"type": "meta", "target": ["alice"]}) + "\n"
+                                + json.dumps(_RECORD) + "\n"),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:1: target must be a non-empty string", id="list-transitions-target",
     ),
     pytest.param(_attack_with("--accuracy", "nan"), "--accuracy", id="nan-accuracy"),
     pytest.param(_attack_with("--accuracy", "inf"), "--accuracy", id="inf-accuracy"),
@@ -504,6 +533,8 @@ def test_figures_out_an_existing_file_exits_with_config_error(tmp_path, capsys):
     pytest.param(json.dumps({**_RECORD, "queries": 1.5}), id="non-int-queries"),
     pytest.param(json.dumps({**_RECORD, "queries": True}), id="bool-queries"),
     pytest.param(json.dumps({**_RECORD, "queries": -3}), id="negative-queries"),
+    pytest.param(json.dumps({**_RECORD, "target": ["alice"]}), id="list-target"),
+    pytest.param(json.dumps({**_RECORD, "target": 7}), id="number-target"),
     pytest.param(json.dumps({**_RECORD, "inside": [True, 0.0]}), id="bool-transition-lat"),
     pytest.param(json.dumps({**_RECORD, "outside": [0.0, 10**400]}), id="huge-int-transition-lon"),
     pytest.param(json.dumps({**_RECORD, "bearing": 10**400}), id="huge-int-bearing"),

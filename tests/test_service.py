@@ -39,6 +39,7 @@ from conftest import (
     oracle_node_latlon,
     oracle_region_cells,
     oracle_wrap_lon,
+    walk_records,
 )
 
 
@@ -612,8 +613,9 @@ class TestIndexedSearch:
         lat_band=LAT_BANDS,
         lon_band=LON_BANDS,
         # 2,000 targets over 40 km occupy more blocks than the window of a
-        # small radius holds, so near() looks the window's blocks up; fewer
-        # targets, or a larger radius, make it test each occupied block.
+        # small radius holds, so the walk looks the window's blocks up;
+        # fewer targets, one included, or a larger radius, make it place
+        # each occupied block in its ring.
         n_targets=st.sampled_from([1, 50, 2_000]),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -627,7 +629,7 @@ class TestIndexedSearch:
         for _ in range(10):
             q = _clamped(destination(center, rng.uniform(0.0, 360.0), 20_000.0 * rng.random()))
             radius = rng.uniform(0.0, 30_000.0)
-            got = [rec.id for rec in registry.near(q, radius)]
+            got = [rec.id for rec in walk_records(registry, q, radius)]
             assert len(got) == len(set(got))
             within = {rec.id for rec in registry.iter_sorted() if distance(q, rec.pos) <= radius}
             assert within <= set(got)
@@ -710,7 +712,7 @@ class TestIndexedSearch:
             account, pos = rng.choice(ACCOUNTS), around(30_000.0)
             assert svc.search(account, pos, float(step)) == brute_force_search(svc, account, pos)
             query_pt = svc.quantizer.snap_point(pos)
-            got = [rec.id for rec in registry.near(query_pt, svc._reach_m)]
+            got = [rec.id for rec in walk_records(registry, query_pt, svc._reach_m)]
             assert len(got) == len(set(got))
             within = {rec.id for rec in registry.iter_sorted() if distance(query_pt, rec.pos) <= svc._reach_m}
             assert within <= set(got)
@@ -742,9 +744,9 @@ class TestIndexedSearch:
 
         monkeypatch.setattr(service, "classify", counting_classify)
         out = svc.search("a", center, 0.0)
-        near = svc.registry.near(svc.quantizer.snap_point(center), svc._reach_m)
+        walked = walk_records(svc.registry, svc.quantizer.snap_point(center), svc._reach_m)
         assert len(out) == 100
-        assert 100 <= len(calls) < len(near)
+        assert 100 <= len(calls) < len(walked)
         assert out == brute_force_search(svc, "a", center)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -761,7 +763,9 @@ class TestIndexedSearch:
     ):
         # search inlines geo.distance between the snapped points; every
         # distance it hands to classify must carry the same bits, in the
-        # order near() lists the records, up to where the walk stops.
+        # order the walk yields the records, up to where it stops. A
+        # registry of one record is not walked: its record is classified
+        # whatever the distance.
         rng = random.Random(seed)
         center = GeoPoint(rng.uniform(*lat_band), rng.uniform(*lon_band))
 
@@ -791,7 +795,10 @@ class TestIndexedSearch:
                 query_pt = q.snap_point(pos)
                 expected = [
                     (distance(query_pt, q.snap_point(rec.pos)).hex(), account in rec.contact_of)
-                    for rec in registry.near(query_pt, svc._reach_m)
+                    for rec in (
+                        registry.iter_sorted() if n_targets == 1
+                        else walk_records(registry, query_pt, svc._reach_m)
+                    )
                 ]
                 # A listing short of max_results walked every record.
                 assert calls == (expected if len(out) < max_results else expected[: len(calls)])
@@ -821,37 +828,29 @@ class TestIndexedSearch:
         assert registry.position("t") == GeoPoint(0.0, 0.0)
         assert Service(registry).search("a", GeoPoint(0.0, 0.0), 0.0) == [("t", 500)]
 
-    def test_one_record_registry_near_returns_it_beyond_the_reach(self):
-        # near() may return a superset; search's classify drops the record.
-        target = GeoPoint(40.0, -3.0)
-        svc = make_service([("t", target)])
-        q = destination(target, 90.0, 20_000.0)
-        assert [rec.id for rec in svc.registry.near(q, 13_000.0)] == ["t"]
-        assert svc.search("a", q, 0.0) == []
-
     def test_near_spans_the_antimeridian(self):
         registry = TargetRegistry()
         registry.add("east", GeoPoint(10.0, 179.99))
         registry.add("west", GeoPoint(10.0, -179.99))
         registry.add("far", GeoPoint(10.0, 179.0))
-        ids = sorted(rec.id for rec in registry.near(GeoPoint(10.0, 180.0), 13_000.0))
+        ids = sorted(rec.id for rec in walk_records(registry, GeoPoint(10.0, 180.0), 13_000.0))
         assert ids == ["east", "west"]
 
     def test_near_cap_over_the_pole_takes_whole_rows(self):
         registry = TargetRegistry()
         registry.add("across", GeoPoint(85.0, 170.0))  # 1,113 km over the pole
         registry.add("south", GeoPoint(70.0, -10.0))
-        ids = [rec.id for rec in registry.near(GeoPoint(85.0, -10.0), 1_200_000.0)]
+        ids = [rec.id for rec in walk_records(registry, GeoPoint(85.0, -10.0), 1_200_000.0)]
         assert ids == ["across"]
         # a cap wider than a hemisphere reaches every longitude
-        ids = [rec.id for rec in registry.near(GeoPoint(0.0, 50.0), 15_000_000.0)]
+        ids = [rec.id for rec in walk_records(registry, GeoPoint(0.0, 50.0), 15_000_000.0)]
         assert sorted(ids) == ["across", "south"]
 
     def test_reach_covers_the_snap_displacement(self):
         # On a 0.1 deg grid a target 1 m south of the edge between node rows
         # 1 and 2 snaps to row 1, 11.1 km from the querier at node (0, 0),
-        # though it lies 16.7 km away. The far record makes `near` search its
-        # window of blocks instead of returning a lone record.
+        # though it lies 16.7 km away. The far record sends the search
+        # through the walk of its window of blocks.
         q = Quantizer(0.1)
         target = destination(GeoPoint(oracle_inv_y(0.15), 0.0), 180.0, 1.0)
         assert q.snap_point(target) == GeoPoint(*oracle_node_latlon(0, 1, 0.1))
@@ -863,12 +862,14 @@ class TestIndexedSearch:
     def test_moved_target_never_listed_from_old_position(self):
         svc = make_service([("t", GeoPoint(40.0, -3.0))])
         assert svc.search("a", GeoPoint(40.0, -3.0), 0.0) == [("t", 500)]
+        # Beyond the 13.3 km reach, the lone record is not listed.
+        assert svc.search("d", destination(GeoPoint(40.0, -3.0), 90.0, 20_000.0), 0.0) == []
         svc.registry.move("t", GeoPoint(41.0, -3.0))
         assert svc.search("b", GeoPoint(40.0, -3.0), 0.0) == []
         assert svc.search("c", GeoPoint(41.0, -3.0), 0.0) == [("t", 500)]
 
     def test_concurrent_moves_and_searches(self):
-        # Moves between blocks race near() and search(); every record must
+        # Moves between blocks race the walk and search(); every record must
         # stay in exactly one block, the one of its current position.
         center = GeoPoint(40.0, -3.0)
         registry = TargetRegistry()
@@ -892,7 +893,7 @@ class TestIndexedSearch:
                     out = svc.search(account, center, float(k))
                     assert len({tid for tid, _ in out}) == len(out)
                     assert out == sorted(out, key=lambda e: (e[1], e[0]))
-                    assert len(registry.near(center, 20_000.0)) == 50
+                    assert len(walk_records(registry, center, 20_000.0)) == 50
             except BaseException as exc:
                 errors.append(exc)
 
@@ -909,7 +910,7 @@ class TestIndexedSearch:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        recs = registry.near(center, 20_000.0)
+        recs = walk_records(registry, center, 20_000.0)
         assert sorted(rec.id for rec in recs) == [r.id for r in registry.iter_sorted()]
         assert all(registry.position(rec.id) == rec.pos for rec in recs)
         assert svc.search("final", center, 1e6) == brute_force_search(svc, "final", center)

@@ -1,7 +1,9 @@
 """The wire codec against the json module calls it must match: `encode`
 writes json.dumps's sorted-key compact line, byte for byte, and `decode`
 returns what json.loads returns, for the two message shapes `encode` has a
-template for, for near misses of those shapes and for arbitrary JSON."""
+template for, for near misses of those shapes and for arbitrary JSON. The
+two file readers that parse their lines with `decode` raise nothing but
+their own format error on any line."""
 
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proxilab.prober import read_transitions
+from proxilab.service import RegistryFormatError, TargetRegistry
 from proxilab.wire import DecodeError, decode, encode
 
 # Every code point, lone surrogates, control characters, '"' and '\\' included.
@@ -205,3 +209,56 @@ class TestDecodeMatchesJsonLoads:
     def test_bytes_that_are_not_utf8(self):
         with pytest.raises(DecodeError, match="not valid UTF-8"):
             decode(b'{"a": "\xff"}\n')
+
+
+REGISTRY_RECORD = {"id": "t", "lat": 23.0, "lon": 51.35, "contact_of": ["a"]}
+META_RECORD = {"type": "meta", "target": "t", "total_queries": 9, "exploration_queries": 3,
+               "budget_exhausted": False, "config": {}}
+TRANSITION_RECORD = {"target": "t", "inside": [23.0, 51.35], "outside": [23.0, 51.36],
+                     "bearing": 90.0, "dir": "OUT", "queries": 6}
+# Shallow and closed, or nested past the recursion limit, open or closed.
+DEEP_ARRAYS = st.sampled_from([1, 50, 100_000]).flatmap(
+    lambda n: st.sampled_from(["[" * n, "[" * n + "]" * n])
+)
+
+
+@st.composite
+def one_field_replaced(draw, record):
+    """record as a JSON line, with one field's value replaced by any JSON
+    value or a deep array."""
+    key = draw(st.sampled_from(sorted(record)))
+    value = json.dumps(draw(JSON_VALUES)) if draw(st.booleans()) else draw(DEEP_ARRAYS)
+    fields = (f"{json.dumps(k)}: {value if k == key else json.dumps(v)}" for k, v in record.items())
+    return "{" + ", ".join(fields) + "}"
+
+
+def file_lines(*records):
+    return st.one_of(
+        st.builds(json.dumps, JSON_VALUES),
+        *(one_field_replaced(r) for r in records),
+        DEEP_ARRAYS,
+    )
+
+
+class TestFileReadersRaiseOnlyTheirFormatError:
+    @settings(max_examples=300, deadline=None)
+    @given(file_lines(REGISTRY_RECORD))
+    def test_one_line_registry(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("registry") / "targets.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            TargetRegistry.from_jsonl(str(path))
+        except RegistryFormatError as exc:
+            assert exc.path == str(path) and exc.line_no == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(file_lines(META_RECORD, TRANSITION_RECORD))
+    def test_one_line_transitions(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("transitions") / "t.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            tset, _ = read_transitions(str(path))
+        except ValueError as exc:
+            assert type(exc) is ValueError and str(exc).startswith(f"{path}:")
+        else:
+            assert type(tset.target) is str and tset.target
