@@ -282,19 +282,14 @@ def fit_uniform(samples) -> tuple[float, float]:
 # -- shape taxonomy ----------------------------------------------------------
 
 
-def classify_shape(obj, anchor: GeoPoint | None = None) -> Shape:
+def classify_shape(points) -> Shape:
     """Square when boundary points reach the box corners, Cross when every
     corner is notched inward by at least a third of the tile size.
 
-    Accepts a TransitionSet (with its anchor) or a bare sequence of local
-    (x, y) boundary points. Returns Unknown when coverage is insufficient.
+    Takes local (x, y) boundary points, such as `midpoints_local` returns.
+    Returns Unknown when coverage is insufficient.
     """
-    if isinstance(obj, TransitionSet):
-        if anchor is None:
-            raise ValueError("anchor required to localize a TransitionSet")
-        pts = midpoints_local(obj, anchor)
-    else:
-        pts = [(float(x), float(y)) for x, y in obj]
+    pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < SHAPE_MIN_POINTS:
         return Shape.UNKNOWN
     rect = Rect.from_points(pts)
@@ -475,7 +470,7 @@ def sweep_row(
         tile = estimate_tile_size(SimulatorLab(grid_deg=grid_deg), pos, step=step)
         err = max_localization_error(tile)
         tset, _ = run_probe_deployment(pos, seed, grid_deg)
-        shape = classify_shape(tset, anchor=pos)
+        shape = classify_shape(midpoints_local(tset, pos))
         return SweepRow(name, lat, lon, tile, err, shape.value)
     except (RuntimeError, ProjectionDomainError) as exc:
         return SweepRow(name, lat, lon, None, None, Shape.UNKNOWN.value, str(exc))
@@ -610,8 +605,12 @@ def write_ecdf_csv(path: str, dist: Ecdf, config: dict | None = None) -> None:
     write_csv(path, ["value", "F", "lo", "hi"], dist.rows(), config)
 
 
-def write_report_json(path: str, report: PrivacyReport, config: dict | None = None) -> None:
-    payload = {"config": config or {}, "report": report.to_dict()}
+def write_json(path: str, payload: dict) -> None:
+    """Indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_report_json(path: str, report: PrivacyReport, config: dict | None = None) -> None:
+    write_json(path, {"config": config or {}, "report": report.to_dict()})

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import random
@@ -380,7 +379,8 @@ def cmd_figures(args) -> int:
         for label, lat, shape_seed in (("low", 5.0, seed + 1), ("mid", 40.0, seed)):
             pos = GeoPoint(lat, 7.25)
             s_set, _ = analysis.run_probe_deployment(pos, seed=shape_seed, grid_deg=config.grid_deg)
-            shapes[label] = {"lat": lat, "shape": analysis.classify_shape(s_set, anchor=pos).value}
+            pts = analysis.midpoints_local(s_set, pos)
+            shapes[label] = {"lat": lat, "shape": analysis.classify_shape(pts).value}
         summary["shapes"] = shapes
 
         rows = list(row_results)
@@ -410,9 +410,7 @@ def cmd_figures(args) -> int:
         "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho) if rho else None,
     }
 
-    with open(path("summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    analysis.write_json(path("summary.json"), summary)
     print(f"figure datasets -> {args.out}")
     return EXIT_OK
 

@@ -41,8 +41,9 @@ class DirectionsExhaustedError(RuntimeError):
 class InconsistentOracleError(RuntimeError):
     """A probe returned a class outside the expected 500/1000 pair.
 
-    Cannot happen against the deterministic simulator; guards reuse against
-    live services where a target may move mid-bisection.
+    Happens against the simulator near the poles, where a cell is smaller
+    than the walker's jump, and against a live service whose target moves
+    mid-bisection.
     """
 
 
@@ -400,9 +401,13 @@ def _read_point(value, where: str) -> GeoPoint:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _read_target(value, where: str) -> str:
+def _read_target(value, where: str, known: str | None) -> str:
+    """A record's target, which must be `known` once an earlier record
+    named one."""
     if type(value) is not str or not value:
         raise ValueError(f"{where}: target must be a non-empty string, got {value!r}")
+    if known is not None and value != known:
+        raise ValueError(f"{where}: target {value!r} differs from {known!r} named before")
     return value
 
 
@@ -415,9 +420,10 @@ def _field(rec: dict, key: str, where: str):
 
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     """Inverse of write_transitions; returns the set and the meta record.
-    A malformed line, such as one whose target is not a non-empty string,
-    raises a ValueError that names `path:line`; a meta record may leave
-    out its counts (0) and `budget_exhausted` (False)."""
+    A malformed line, such as one whose target is not a non-empty string
+    or differs from the target an earlier record named, raises a
+    ValueError that names `path:line`; a meta record may leave out its
+    counts (0) and `budget_exhausted` (False)."""
     meta: dict = {}
     transitions: list[Transition] = []
     target = None
@@ -434,7 +440,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             if rec.get("type") == "meta":
                 meta = rec
                 if "target" in rec:
-                    target = _read_target(rec["target"], where)
+                    target = _read_target(rec["target"], where, target)
                 for key in ("total_queries", "exploration_queries"):
                     count = rec.get(key, 0)
                     if type(count) is not int or count < 0:  # a bool is an int to isinstance
@@ -442,8 +448,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
                 if not isinstance(rec.get("budget_exhausted", False), bool):
                     raise ValueError(f"{where}: budget_exhausted must be a bool, got {rec['budget_exhausted']!r}")
                 continue
-            rec_target = _read_target(_field(rec, "target", where), where)
-            target = target or rec_target
+            target = _read_target(_field(rec, "target", where), where, target)
             inside = _read_point(_field(rec, "inside", where), f"{where}: inside")
             outside = _read_point(_field(rec, "outside", where), f"{where}: outside")
             bearing = _field(rec, "bearing", where)

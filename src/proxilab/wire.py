@@ -147,8 +147,10 @@ def error_response(code: str, retry_after_s: float = 0.0) -> dict:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    server: ApiServer
+
     def handle(self) -> None:
-        service: Service = self.server.nearby_service  # type: ignore[attr-defined]
+        service = self.server.service
         readline, limit = self.rfile.readline, MAX_REQUEST_BYTES + 1
         while raw := readline(limit):
             if len(raw) > MAX_REQUEST_BYTES:
@@ -186,43 +188,35 @@ class _Handler(socketserver.StreamRequestHandler):
         return result_response(entries)
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class ApiServer(socketserver.ThreadingTCPServer):
+    """TCP endpoint for a Service. Use port 0 for an ephemeral test port.
+    `start` serves from a thread that `stop` shuts down; `stop` also closes
+    the socket after the inherited `serve_forever`."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-
-class ApiServer:
-    """TCP endpoint for a Service. Use port 0 for an ephemeral test port."""
-
     def __init__(self, service: Service, host: str = DEFAULT_BIND[0], port: int = DEFAULT_BIND[1]):
-        self._tcp = _ThreadingServer((host, port), _Handler)
-        self._tcp.nearby_service = service  # type: ignore[attr-defined]
+        super().__init__((host, port), _Handler)
+        self.service = service
         self._thread: threading.Thread | None = None
-        self._serving = False
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._tcp.server_address  # type: ignore[return-value]
+        return self.server_address  # type: ignore[return-value]
 
     def start(self) -> None:
-        self._serving = True
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._thread.start()
 
-    def serve_forever(self) -> None:
-        self._serving = True
-        self._tcp.serve_forever()
-
     def stop(self) -> None:
-        if self._serving:
-            self._tcp.shutdown()  # blocks until the serve loop acknowledges
-            self._serving = False
-        self._tcp.server_close()
         if self._thread is not None:
+            self.shutdown()  # blocks until the serve loop acknowledges
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.server_close()
 
     def __enter__(self) -> "ApiServer":
         self.start()

@@ -10,10 +10,12 @@ functions take a grid pitch; the rest use the default one.
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import pytest
 
+import proxilab
 from proxilab.geo import GeoPoint
 from proxilab.analysis import run_probe_deployment
 
@@ -22,6 +24,14 @@ ORACLE_M_PER_DEG = ORACLE_RADIUS_M * math.pi / 180.0
 ORACLE_GRID_DEG = 0.005
 PUBLIC_CLASSES = (500, 1000, 2000, 3000, 4000, 5000, 6000,
                   7000, 8000, 9000, 10000, 11000, 12000)
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment plus `extra`, with this source tree first
+    on a child Python's PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proxilab.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def oracle_wrap_lon(lon: float) -> float:

@@ -38,6 +38,7 @@ from proxilab.analysis import (
     edge_offsets,
     latitude_sweep,
     max_localization_error,
+    midpoints_local,
     phasor,
     run_probe_deployment,
 )
@@ -197,7 +198,7 @@ def test_shape_taxonomy_and_box_agreement():
         target = GeoPoint(lat, 7.25)
         tset, service = run_probe_deployment(target, seed=seed)
         rect = bounding_box(tset, target)
-        results[lat] = (classify_shape(tset, anchor=target), rect, service.quantizer.cell_size(lat))
+        results[lat] = (classify_shape(midpoints_local(tset, target)), rect, service.quantizer.cell_size(lat))
     shape5, rect5, cell5 = results[5.0]
     shape40, rect40, cell40 = results[40.0]
     assert shape5 is analysis.Shape.CROSS

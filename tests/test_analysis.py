@@ -40,6 +40,7 @@ from proxilab.analysis import (
     fit_uniform,
     latitude_sweep,
     max_localization_error,
+    midpoints_local,
     phasor,
     run_probe_deployment,
     write_ecdf_csv,
@@ -215,8 +216,8 @@ class TestClassifyShape:
     def test_simulated_runs(self):
         low, _ = run_probe_deployment(GeoPoint(5.0, 7.25), seed=1)
         mid, _ = run_probe_deployment(GeoPoint(40.0, 7.25), seed=1)
-        assert classify_shape(low, anchor=GeoPoint(5.0, 7.25)) is Shape.CROSS
-        assert classify_shape(mid, anchor=GeoPoint(40.0, 7.25)) is Shape.SQUARE
+        assert classify_shape(midpoints_local(low, GeoPoint(5.0, 7.25))) is Shape.CROSS
+        assert classify_shape(midpoints_local(mid, GeoPoint(40.0, 7.25))) is Shape.SQUARE
 
     def test_decision_flips_once_across_the_model_band(self):
         # model property: with nearest-class bucketing the cross/square

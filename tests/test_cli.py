@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -26,7 +30,7 @@ from proxilab.cli import (
     main,
 )
 from proxilab.geo import GeoPoint
-from proxilab.prober import DEFAULT_TRANSITIONS, InconsistentOracleError, ProbeConfig
+from proxilab.prober import DEFAULT_TRANSITIONS, INNER_CLASS_M, InconsistentOracleError, ProbeConfig
 from proxilab.service import (
     DEFAULT_DAILY_QUOTA,
     DEFAULT_GRID_DEG,
@@ -36,6 +40,8 @@ from proxilab.service import (
     TargetRegistry,
 )
 from proxilab.wire import ApiServer, TcpClient
+
+from conftest import child_env
 
 CONFIG_KEYS = {
     "seed", "grid_deg", "quota", "speed_limit", "accuracy",
@@ -247,7 +253,51 @@ class TestAnalyze:
         assert "bad transitions file" in err and ":2:" in err
 
 
+@contextlib.contextmanager
+def _serve_process(registry_file: str, bind: str):
+    """`proxilab serve` as a child process, killed on leaving the block if it
+    still runs. Its output is unbuffered, so the "serving ..." line can be
+    read while it runs, and it gets SIGINT as a KeyboardInterrupt even where
+    the test run's own SIGINT is ignored."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "proxilab.cli", "serve", "--targets", registry_file, "--bind", bind],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED="1"),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()  # sends nothing once the process has exited
+
+
 class TestServe:
+    def test_process_answers_then_exits_0_on_sigint_and_frees_its_port(self, registry_file):
+        with _serve_process(registry_file, "127.0.0.1:0") as proc:
+            line = proc.stdout.readline()
+            assert line.startswith("serving 1 target(s) on 127.0.0.1:")
+            port = int(line.rstrip("\n").rpartition(":")[2])
+            # An answer means the serve loop runs, so SIGINT reaches it there.
+            with TcpClient("127.0.0.1", port, "finder", timeout=5.0) as client:
+                assert client.search(GeoPoint(0.0, 0.0), 0.0) == [("alice", INNER_CLASS_M)]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10.0) == EXIT_OK
+            assert proc.stderr.read() == ""
+        # Another server can listen on the port again.
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", port))
+            sock.listen()
+
+    def test_process_on_a_port_in_use_exits_with_one_error_line(self, registry_file):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            with _serve_process(registry_file, f"127.0.0.1:{busy.getsockname()[1]}") as proc:
+                out, err = proc.communicate(timeout=30.0)
+        assert proc.returncode == EXIT_CONFIG
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_malformed_registry_exits_nonzero_with_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x", "lat": 1, "lon": 2}\n{broken\n')
@@ -445,6 +495,12 @@ BAD_INPUTS = [
     ),
     pytest.param(
         lambda tmp, reg: ["analyze", "--transitions",
+                          _transitions_file(tmp, json.dumps(_RECORD) + "\n" + json.dumps({**_RECORD, "target": "bob"})),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:3: target 'bob' differs from 'alice'", id="transitions-of-two-targets",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions",
                           _file(tmp / "t.jsonl", json.dumps({"type": "meta", "target": ["alice"]}) + "\n"
                                 + json.dumps(_RECORD) + "\n"),
                           "--targets", reg, "--out", str(tmp / "r.json")],
@@ -535,6 +591,7 @@ def test_figures_out_an_existing_file_exits_with_config_error(tmp_path, capsys):
     pytest.param(json.dumps({**_RECORD, "queries": -3}), id="negative-queries"),
     pytest.param(json.dumps({**_RECORD, "target": ["alice"]}), id="list-target"),
     pytest.param(json.dumps({**_RECORD, "target": 7}), id="number-target"),
+    pytest.param(json.dumps({**_RECORD, "target": "bob"}), id="other-target"),
     pytest.param(json.dumps({**_RECORD, "inside": [True, 0.0]}), id="bool-transition-lat"),
     pytest.param(json.dumps({**_RECORD, "outside": [0.0, 10**400]}), id="huge-int-transition-lon"),
     pytest.param(json.dumps({**_RECORD, "bearing": 10**400}), id="huge-int-bearing"),

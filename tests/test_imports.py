@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 
-import proxilab
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(proxilab.__file__)))
+from conftest import child_env
 
 # numpy is a test dependency only; the process pool behind `sweep` and
 # `figures` is imported when a pool opens, not by importing the CLI.
@@ -24,8 +21,7 @@ print(",".join(m for m in sys.argv[1:] if m in sys.modules))
 
 
 def test_importing_every_module_loads_no_numpy_and_no_pool():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, *NOT_LOADED], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", PROBE, *NOT_LOADED], env=child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
