@@ -79,6 +79,14 @@ def _parse_bind(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _parse_account(text: str) -> str:
+    # The wire rejects an empty account, so an attack over --endpoint
+    # could not send a single query with one.
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty account id")
+    return text
+
+
 def _parse_point(text: str) -> GeoPoint:
     try:
         lat_s, lon_s = text.split(",")
@@ -460,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_attack)
     p_attack.add_argument("--endpoint", type=_parse_bind, default=None, help="host:port of a running service")
     p_attack.add_argument("--targets", default=None, help="registry JSONL for a local in-process service")
-    p_attack.add_argument("--account", default="finder")
+    p_attack.add_argument("--account", type=_parse_account, default="finder")
     p_attack.add_argument("--target", required=True, help="target id to localize")
     p_attack.add_argument("--hint", type=_parse_point, default=None, help="rough prior position 'lat,lon'")
     add_config(p_attack, "accuracy")

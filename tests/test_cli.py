@@ -519,6 +519,7 @@ BAD_INPUTS = [
     pytest.param(_attack_with("--grid-deg", "0"), "--grid-deg", id="zero-grid"),
     pytest.param(_attack_with("--grid-deg", "-0.005"), "--grid-deg", id="negative-grid"),
     pytest.param(_attack_with("--transitions", "0"), "--transitions", id="zero-transitions"),
+    pytest.param(_attack_with("--account", ""), "--account", id="empty-account"),
     pytest.param(_attack_with("--max-queries", "0"), "--max-queries", id="zero-max-queries"),
     pytest.param(_sweep_with("--step", "-10"), "--step", id="negative-step"),
     pytest.param(_sweep_with("--step", "0"), "--step", id="zero-step"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 import threading
@@ -737,12 +738,13 @@ class TestIndexedSearch:
             registry.add(f"t{k:04d}", destination(center, rng.uniform(0.0, 360.0), dist))
         svc = Service(registry)
         calls = []
+        class_of = Service._class_of
 
-        def counting_classify(d_m, contact=False):
-            calls.append(d_m)
-            return classify(d_m, contact)
+        def counting_class_of(self, rec, *args):
+            calls.append(rec.id)
+            return class_of(self, rec, *args)
 
-        monkeypatch.setattr(service, "classify", counting_classify)
+        monkeypatch.setattr(Service, "_class_of", counting_class_of)
         out = svc.search("a", center, 0.0)
         walked = walk_records(svc.registry, svc.quantizer.snap_point(center), svc._reach_m)
         assert len(out) == 100
@@ -758,14 +760,14 @@ class TestIndexedSearch:
         max_results=st.sampled_from([1, 100]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_classify_gets_the_geo_distance_bit_for_bit(
+    def test_class_of_equals_classify_of_the_geo_distance(
         self, lat_band, lon_band, n_targets, grid_deg, max_results, seed
     ):
-        # search inlines geo.distance between the snapped points; every
-        # distance it hands to classify must carry the same bits, in the
-        # order the walk yields the records, up to where it stops. A
-        # registry of one record is not walked: its record is classified
-        # whatever the distance.
+        # search classifies each record through _class_of, with the
+        # record's contact flag; the class it gives every record, in the
+        # order the walk yields the records, up to where it stops, must be
+        # the one classify gives geo.distance between the snapped points. A registry of one record is not
+        # walked: its record is classified whatever the distance.
         rng = random.Random(seed)
         center = GeoPoint(rng.uniform(*lat_band), rng.uniform(*lon_band))
 
@@ -778,14 +780,16 @@ class TestIndexedSearch:
         q = Quantizer(grid_deg)
         svc = Service(registry, q, max_results=max_results, speed_limit_mps=math.inf)
         calls = []
+        class_of = Service._class_of
 
-        def recording_classify(d_m, contact=False):
-            calls.append((d_m.hex(), contact))
-            return classify(d_m, contact)
+        def recording_class_of(self, rec, contact, *args):
+            cls = class_of(self, rec, contact, *args)
+            calls.append((rec.id, contact, cls))
+            return cls
 
         classified = 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(service, "classify", recording_classify)
+            mp.setattr(Service, "_class_of", recording_class_of)
             for step in range(6):
                 if step % 2 == 1:
                     registry.move(f"t{rng.randrange(n_targets):03d}", around(14_000.0))
@@ -794,16 +798,66 @@ class TestIndexedSearch:
                 out = svc.search(account, pos, float(step))
                 query_pt = q.snap_point(pos)
                 expected = [
-                    (distance(query_pt, q.snap_point(rec.pos)).hex(), account in rec.contact_of)
+                    (rec.id, contact, classify(distance(query_pt, q.snap_point(rec.pos)), contact))
                     for rec in (
                         registry.iter_sorted() if n_targets == 1
                         else walk_records(registry, query_pt, svc._reach_m)
                     )
+                    for contact in [account in rec.contact_of]
                 ]
                 # A listing short of max_results walked every record.
                 assert calls == (expected if len(out) < max_results else expected[: len(calls)])
                 classified += len(calls)
         assert classified > 0
+
+    def test_class_cut_brackets_fall_back_to_classify(self):
+        # On grids of 1e-9 to 1e-7 deg the targets' nodes lie within a
+        # centimetre or so of where they were placed: within 1 cm either
+        # side of every class cut from the querier's node, for both contact
+        # flags. Many squared chords fall inside a cut's bracket, where
+        # only classify on geo.distance decides; the listing must still be
+        # the brute-force scan's.
+        fallbacks = []
+
+        def counting_classify(d_m, contact=False):
+            fallbacks.append(d_m)
+            return classify(d_m, contact)
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(
+            lat=st.one_of(st.floats(-84.9, 84.9), st.floats(84.8, 84.9), st.floats(-84.9, -84.8)),
+            lon_band=LON_BANDS,
+            grid_deg=st.floats(1e-9, 1e-7),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(lat, lon_band, grid_deg, seed):
+            rng = random.Random(seed)
+            q = Quantizer(grid_deg)
+            pos = GeoPoint(lat, rng.uniform(*lon_band))
+            node = q.snap_point(pos)
+            registry = TargetRegistry()
+            for contact, (cuts, _) in enumerate(service._CLASS_CUTS):
+                for k, cut in enumerate(cuts):
+                    target = destination(node, rng.uniform(0.0, 360.0), cut + rng.uniform(-0.01, 0.01))
+                    registry.add(f"{contact}-{k:02d}", target, ["a"] if contact else [])
+            svc = Service(registry, q, max_results=100)
+            assert svc.search("a", pos, 0.0) == brute_force_search(svc, "a", pos)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(service, "classify", counting_classify)
+            check()
+        assert fallbacks
+
+    def test_target_record_is_slotted_frozen_and_picklable(self):
+        registry = TargetRegistry()
+        registry.add("t", GeoPoint(40.0, -3.0), ["a", "b"])
+        (rec,) = registry.iter_sorted()
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.pos = GeoPoint(0.0, 0.0)
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec and hash(copy) == hash(rec)
+        assert (copy.id, copy.pos, copy.contact_of) == ("t", GeoPoint(40.0, -3.0), frozenset({"a", "b"}))
 
     def test_early_stop_allows_for_the_snap_displacement(self):
         # On a 0.2 deg grid, "a" lies 11.1 km north of the querier, eight
