@@ -25,8 +25,8 @@ from enum import Enum
 from .geo import GeoPoint, ProjectionDomainError, destination, to_local
 from .prober import (
     INNER_CLASS_M,
-    Direction,
-    ProbeConfig,
+    OUTER_CLASS_M,
+    InconsistentOracleError,
     ProbeSession,
     TransitionSet,
     collect_transitions,
@@ -43,6 +43,7 @@ from .service import (
 DEFAULT_STEP_M = 10.0  # target displacement per tile-size deployment
 TILE_SHIFTS = 4  # boundary shifts the tile-size scan waits for
 TILE_SCAN_SPAN_M = 4000.0  # farthest deployment of the tile-size scan
+LAB_ACCURACY_M = 1.0  # the lab's boundary bisection: it placed the target, unlike an attacker
 ECDF_ALPHA = 0.05  # the ECDF band holds the true CDF with probability 1 - alpha
 SHAPE_MIN_POINTS = 20  # boundary points below which the shape is Unknown
 UNIFORM_FIT_MIN_SAMPLES = 20  # samples below which fit_uniform refuses to fit
@@ -322,13 +323,12 @@ class SimulatorLab:
     """Private service whose single target can be redeployed at will.
 
     Every deployment starts a fresh virtual day, mirroring a multi-day
-    measurement campaign, so reduced scans never exhaust the daily quota.
+    measurement campaign, and searches one line, not the attacker's plane.
     """
 
     target_id = "probe"
 
     def __init__(self, grid_deg: float = DEFAULT_GRID_DEG):
-        self.cfg = ProbeConfig()
         self._registry = TargetRegistry()
         self._registry.add(self.target_id, GeoPoint(0.0, 0.0))
         self._client = LocalClient(Service(self._registry, Quantizer(grid_deg)), "surveyor")
@@ -336,21 +336,27 @@ class SimulatorLab:
 
     def boundary(self, base: GeoPoint, bearing: float, offset: float) -> float:
         """Deploy the target `offset` meters from base along the bearing, on
-        a fresh virtual day, and return the signed distance from base, along
-        the bearing, of the nearest class boundary beyond it. Every
-        deployment of the lab goes through here, and its result depends on
-        nothing but the arguments."""
-        pos = destination(base, bearing, offset)
-        self._registry.move(self.target_id, pos)
+        a fresh virtual day, and return the distance from base, along the
+        bearing, of the nearest class boundary beyond it: step out by the jump
+        until the class reads 1000, then bisect to `LAB_ACCURACY_M`. Every lab
+        deployment goes through here; its result depends only on the arguments, or it raises a RuntimeError."""
+        self._registry.move(self.target_id, destination(base, bearing, offset))
         self._day += 1
-        sess = ProbeSession(self._client, self.target_id, self.cfg, start_ts=self._day * SECONDS_PER_DAY)
-        if sess.query_class(pos) != INNER_CLASS_M:
-            raise RuntimeError("deployed position does not report the inner class")
-        inside, outside = sess.probe_outward(pos, pos, bearing)
-        t = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
-        x, y = to_local(base, t.midpoint())
-        theta = math.radians(bearing)
-        return x * math.sin(theta) + y * math.cos(theta)
+        sess = ProbeSession(self._client, self.target_id, start_ts=self._day * SECONDS_PER_DAY)
+
+        def inside(t: float) -> bool:
+            cls = sess.query_class(destination(base, bearing, t))
+            if cls not in (INNER_CLASS_M, OUTER_CLASS_M):
+                raise InconsistentOracleError(f"class {cls!r} at {t:g} m along the lab's bearing")
+            return cls == INNER_CLASS_M
+
+        lo, hi = offset, offset + sess.cfg.jump  # the target's own position reads 500
+        while inside(hi):
+            lo, hi = hi, hi + sess.cfg.jump
+        while hi - lo > LAB_ACCURACY_M:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        return (lo + hi) / 2.0
 
     def ladder(self, base: GeoPoint, bearing: float, step: float, end: float):
         """Deploy the target at rung k, k * step meters from base along the
@@ -408,9 +414,9 @@ def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_
     The rungs are those of `SimulatorLab.ladder`: rung k lies k * step
     meters east of base, up to `TILE_SCAN_SPAN_M`, and its offset is
     computed when it is deployed. A shift is a rung whose class boundary
-    lies more than five times the probe accuracy from the previous
-    rung's. Wherever a cell is well above that threshold (below
-    about 84.2 degrees) the boundary stays put between shifts, so rather
+    lies more than five times `LAB_ACCURACY_M` from the previous rung's.
+    At the default pitch a cell (48 m or more) is far above that at every
+    latitude, so the boundary stays put between shifts, and rather
     than deploy every rung the scan gallops from the last shift with
     strides of 1, 2, 4, ... rungs until the boundary has moved, then
     bisects for the first moved rung. Each deployment goes through
@@ -419,11 +425,11 @@ def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_
     deployments. It stops after `TILE_SHIFTS` shifts and returns the mean
     gap between consecutive shifts. Shift offsets are centered between the
     last unshifted and first shifted rung, so the estimate error is bounded
-    by step / (TILE_SHIFTS - 1).
+    by step / (TILE_SHIFTS - 1), plus `LAB_ACCURACY_M`.
     """
     if not step > 0:  # NaN too
         raise ValueError("step must be positive")
-    threshold = 5.0 * lab.cfg.accuracy  # real shifts are >= one tile, far above jitter
+    threshold = 5.0 * LAB_ACCURACY_M  # real shifts are >= one tile, far above jitter
     last = _last_rung(step, TILE_SCAN_SPAN_M)
     shift_offsets: list[float] = []
     lo, ref = 0, lab.boundary(base, 90.0, 0.0)
@@ -461,11 +467,12 @@ def sweep_row(
     lon) location, the shape from one `run_probe_deployment` at `seed`. A
     failure of the harness (a `RuntimeError` from the tile scan or the
     walker, or a position outside the Mercator domain) is recorded in the
-    row; any other exception propagates. A row builds its own lab and
-    deployment, so rows are independent of each other and of where they
-    run."""
+    row, with the tile and error when only the walk failed; any other
+    exception propagates. A row builds its own lab and deployment, so rows
+    are independent of each other and of where they run."""
     name, lat, lon = location
     pos = GeoPoint(lat, lon)
+    tile = err = None
     try:
         tile = estimate_tile_size(SimulatorLab(grid_deg=grid_deg), pos, step=step)
         err = max_localization_error(tile)
@@ -473,7 +480,7 @@ def sweep_row(
         shape = classify_shape(midpoints_local(tset, pos))
         return SweepRow(name, lat, lon, tile, err, shape.value)
     except (RuntimeError, ProjectionDomainError) as exc:
-        return SweepRow(name, lat, lon, None, None, Shape.UNKNOWN.value, str(exc))
+        return SweepRow(name, lat, lon, tile, err, Shape.UNKNOWN.value, str(exc))
 
 
 def latitude_sweep(

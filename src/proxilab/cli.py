@@ -322,6 +322,16 @@ def cmd_figures(args) -> int:
     except OSError as exc:  # --out names a file, or lies under one
         print(f"error: cannot create the --out directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        _write_figures(args, config)
+    except (RuntimeError, analysis.InsufficientCoverageError) as exc:  # a canned walk, the ladder or a pooled run
+        print(f"error: figures: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"figure datasets -> {args.out}")
+    return EXIT_OK
+
+
+def _write_figures(args, config: ExperimentConfig) -> None:
     cfg_dict = config.to_dict()
     seed = config.seed
 
@@ -419,8 +429,6 @@ def cmd_figures(args) -> int:
     }
 
     analysis.write_json(path("summary.json"), summary)
-    print(f"figure datasets -> {args.out}")
-    return EXIT_OK
 
 
 # -- parser --------------------------------------------------------------------

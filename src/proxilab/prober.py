@@ -60,8 +60,8 @@ class AttackBannedError(RuntimeError):
         return type(self), (self.step, self.cause)
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _BudgetExhausted(RuntimeError):
+    """The query budget is spent: the attack loop's end, any other caller's error."""
 
 
 class _WalkReset(Exception):
@@ -177,7 +177,7 @@ class ProbeSession:
         """Paced, budgeted query; returns the reported class for the target
         or None when the target is not listed."""
         if self.queries >= self._max_queries:
-            raise _BudgetExhausted
+            raise _BudgetExhausted(f"query budget of {self._max_queries} spent")
         if self._pos is None:
             ts = self._ts
         else:

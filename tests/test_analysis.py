@@ -48,7 +48,7 @@ from proxilab.analysis import (
     write_sweep_csv,
 )
 
-from conftest import oracle_boundary_points, oracle_from_local
+from conftest import ORACLE_GRID_DEG, ORACLE_M_PER_DEG, oracle_boundary_points, oracle_from_local
 
 EQ_CELL_M = 0.005 * math.pi / 180.0 * 6_378_137.0  # 556.597
 
@@ -278,13 +278,27 @@ class TestTileSize:
         k = analysis._last_rung(step, end)
         assert k * step <= end < (k + 1) * step
 
+    # The scan's own bound, plus the lab's bisection accuracy, holds up to
+    # 84.9 deg, where the cell (49.5 m) is a tenth of the attacker's jump.
+    # A third of the longitudes lie within 0.05 deg of the antimeridian.
+    @example(lat=84.9, lon=20.0, step=10.0)
+    @example(lat=-84.9, lon=-179.99, step=2.0)
+    @example(lat=84.5, lon=180.0, step=20.0)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lat=st.one_of(st.floats(-84.9, 84.9), st.floats(80.0, 84.9), st.floats(-84.9, -80.0)),
+        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.95, 180.0), st.floats(-180.0, -179.95)),
+        step=st.floats(2.0, 20.0),
+    )
+    def test_tile_is_the_oracle_cell(self, lat, lon, step):
+        cell = ORACLE_GRID_DEG * ORACLE_M_PER_DEG * math.cos(math.radians(lat))
+        l_est = estimate_tile_size(SimulatorLab(), GeoPoint(lat, lon), step=step)
+        assert abs(l_est - cell) <= step / (TILE_SHIFTS - 1) + analysis.LAB_ACCURACY_M
+
     # Two thirds of the longitudes lie within a degree of the antimeridian.
-    # Above about 84.2 deg the cell is too close to
-    # the shift threshold for the boundary to stay put between shifts, and
-    # the two scans may differ there.
     @settings(max_examples=10, deadline=None)
     @given(
-        lat=st.floats(-80.0, 80.0),
+        lat=st.floats(-84.9, 84.9),
         lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.0, 180.0), st.floats(-180.0, -179.0)),
         step=st.floats(2.0, 40.0),
     )
@@ -293,7 +307,9 @@ class TestTileSize:
         assert estimate_tile_size(SimulatorLab(), base, step=step).hex() == _ladder_tile_size(base, step).hex()
 
     def test_sweep_cities_at_step_10_query_count(self, monkeypatch):
-        # 1,304 deployments and 17,008 queries when every rung is deployed.
+        # 1,304 deployments and 19,616 queries when every rung is deployed.
+        # A deployment steps out from one jump past its own position, then
+        # bisects the 100 m straddle to a metre in seven queries.
         counts = {"deployments": 0, "queries": 0}
 
         def counting(method, key):
@@ -308,14 +324,14 @@ class TestTileSize:
         monkeypatch.setattr(LocalClient, "search", counting(LocalClient.search, "queries"))
         for _, lat, lon in SWEEP_CITIES:
             estimate_tile_size(SimulatorLab(), GeoPoint(lat, lon), step=10.0)
-        assert counts == {"deployments": 388, "queries": 5205}
+        assert counts == {"deployments": 388, "queries": 5981}
 
 
 def _ladder_tile_size(base: GeoPoint, step: float) -> float:
     """Reference scan: deploy every rung of the ladder in order and take a
     shift wherever the boundary moves from the previous rung's."""
     lab = SimulatorLab()
-    threshold = 5.0 * lab.cfg.accuracy
+    threshold = 5.0 * analysis.LAB_ACCURACY_M
     shift_offsets: list[float] = []
     prev = None
     for offset, boundary in lab.ladder(base, 90.0, step, TILE_SCAN_SPAN_M):
@@ -343,6 +359,19 @@ class TestLatitudeSweep:
         assert rows[0].error is not None
         assert rows[0].tile_size_m is None
         assert multiprocessing.active_children() == []
+
+    def test_failed_shape_walk_keeps_the_measured_tile(self, monkeypatch):
+        # Near the poles the walk can fail where the tile scan succeeds;
+        # the row then keeps l and D and leaves the shape Unknown.
+        def run(target, seed=0, grid_deg=service.DEFAULT_GRID_DEG):
+            raise prober.InconsistentOracleError("class 2000 while walking inward")
+
+        monkeypatch.setattr(analysis, "run_probe_deployment", run)
+        row = analysis.sweep_row(("Doha", 25.26174, 51.359269))
+        assert row.tile_size_m == pytest.approx(EQ_CELL_M * math.cos(math.radians(25.26174)), abs=15.0)
+        assert row.max_error_m == max_localization_error(row.tile_size_m)
+        assert row.shape == Shape.UNKNOWN.value
+        assert "class 2000 while walking inward" in row.error
 
     def test_programming_errors_propagate(self):
         # Only the harness's own failures become a row's error; a bad

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -651,6 +652,17 @@ class TestSweep:
         assert capsys.readouterr().out == f"0 location(s) -> {out}\n"
         assert multiprocessing.active_children() == []
 
+    # At 0.1 deg the lab's search meets a class beyond 1000 m past the
+    # one-cell region; at 30 deg it mostly spends its query budget first.
+    @pytest.mark.parametrize("grid_deg", ["0.1", "30"])
+    def test_coarse_grid_rows_fail_with_one_warning_each(self, tmp_path, grid_deg, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid-deg", grid_deg, "--out", str(out)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+        assert [line.split(":")[1].strip() for line in warnings] == [name for name, _, _ in SWEEP_CITIES]
+        rows = list(csv.reader(out.read_text().splitlines()[2:]))
+        assert [(r[3], r[4], r[5]) for r in rows] == [("", "", "Unknown")] * len(SWEEP_CITIES)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cities = tmp_path / "cities.jsonl"
         cities.write_text('{"id": "Doha", "lat": 25.26174, "lon": 51.359269}\n')
@@ -717,7 +729,7 @@ class TestFigures:
         assert len(errors) == 1 and "--runs" in errors[0]
         assert deployments == [] and not (tmp_path / "figs").exists()
 
-    def test_failing_pooled_run_raises_its_error_and_leaves_no_worker(self, tmp_path, monkeypatch):
+    def test_failing_pooled_run_exits_with_one_error_line_and_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
         # Forked workers inherit the patch; pooled run seeds are 0..9 at --seed 0.
         real = analysis.run_probe_deployment
 
@@ -727,8 +739,21 @@ class TestFigures:
             return real(target, seed, grid_deg)
 
         monkeypatch.setattr(analysis, "run_probe_deployment", run)
-        with pytest.raises(InconsistentOracleError, match="class 2000 while walking inward"):
-            main(["figures", "--runs", "10", "--seed", "0", "--out", str(tmp_path / "figs")])
+        assert main(["figures", "--runs", "10", "--seed", "0", "--out", str(tmp_path / "figs")]) == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "class 2000 while walking inward" in errors[0]
+        assert multiprocessing.active_children() == []
+
+    # The equator walk fails at each pitch: at 0.1 deg its crossings are too
+    # few for a box, at 0.05 and 0.0005 deg it sees a class outside the
+    # 500/1000 pair. BAD_INPUTS cannot hold these, since figures creates
+    # --out before any deployment.
+    @pytest.mark.parametrize("grid_deg", ["0.1", "0.05", "0.0005"])
+    def test_failing_canned_walk_exits_with_one_error_line_and_leaves_no_worker(self, tmp_path, grid_deg, capsys):
+        argv = ["figures", "--runs", "10", "--grid-deg", grid_deg, "--out", str(tmp_path / "figs")]
+        assert main(argv) == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: figures: ")
         assert multiprocessing.active_children() == []
 
     def test_pooled_runs_match_a_serial_loop(self, tmp_path, monkeypatch):
