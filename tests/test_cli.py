@@ -884,7 +884,7 @@ GOLDEN_FIGURES = {
     "radius_ecdf.csv": "f78a3c7718e5895364dc5972e256c33dbee744c7240370187d08436199f0151c",
     "summary.json": "e3b4a012c8127ed0fb5b116719b8d4d225a0f1b04c2eaac66757c03ebb27b827",
     "sweep.csv": "23781cdef46d7e7af6fe7f79afd65ac5d15bf4d46178781fd9d3d2d44f9260e2",
-    "tile_shifts.csv": "8f3d68a036efc67beb6c89b71f6fb2f00f0959d818104ce37cd31559c21cd3b1",
+    "tile_shifts.csv": "0f70e36e70ce7d0e30b9f17007338ad64ff566fcec3bc2b11c14162ea10888df",
     "walk_report.json": "f0c4b55bde766fe30386af9e39fd212c746c622a298859ee41dff036c636420f",
     "walk_transitions.jsonl": "6acccdd97735c0258bfb8a29b4e7a10e1b8f84eabd53ee063fa8afc716fffe0b",
 }
