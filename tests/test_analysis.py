@@ -279,8 +279,8 @@ class TestTileSize:
         assert k * step <= end < (k + 1) * step
 
     # The scan's own bound, plus the lab's bisection accuracy, holds up to
-    # 84.9 deg, where the cell (49.5 m) is a tenth of the attacker's jump.
-    # A third of the longitudes lie within 0.05 deg of the antimeridian.
+    # 84.9 deg, where the cell is 49.5 m. A third of the latitudes lie above
+    # 80 deg and a third of the longitudes within 0.05 deg of the antimeridian.
     @example(lat=84.9, lon=20.0, step=10.0)
     @example(lat=-84.9, lon=-179.99, step=2.0)
     @example(lat=84.5, lon=180.0, step=20.0)

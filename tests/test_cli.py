@@ -748,12 +748,18 @@ class TestFigures:
     # few for a box, at 0.05 and 0.0005 deg it sees a class outside the
     # 500/1000 pair. BAD_INPUTS cannot hold these, since figures creates
     # --out before any deployment.
-    @pytest.mark.parametrize("grid_deg", ["0.1", "0.05", "0.0005"])
-    def test_failing_canned_walk_exits_with_one_error_line_and_leaves_no_worker(self, tmp_path, grid_deg, capsys):
+    @pytest.mark.parametrize("grid_deg, fragment", [
+        ("0.1", "need >= 4 transitions"),
+        ("0.05", "class 6000 while probing outward"),
+        ("0.0005", "class 2000 while walking inward"),
+    ])
+    def test_failing_canned_walk_exits_with_one_error_line_and_leaves_no_worker(
+        self, tmp_path, grid_deg, fragment, capsys
+    ):
         argv = ["figures", "--runs", "10", "--grid-deg", grid_deg, "--out", str(tmp_path / "figs")]
         assert main(argv) == EXIT_CONFIG
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and errors[0].startswith("error: figures: ")
+        assert len(errors) == 1 and errors[0].startswith("error: figures: ") and fragment in errors[0]
         assert multiprocessing.active_children() == []
 
     def test_pooled_runs_match_a_serial_loop(self, tmp_path, monkeypatch):
