@@ -322,8 +322,8 @@ def max_localization_error(tile_size_m: float) -> float:
 class SimulatorLab:
     """Private service whose single target can be redeployed at will.
 
-    Every deployment starts a fresh virtual day, mirroring a multi-day
-    measurement campaign, and searches one line, not the attacker's plane.
+    Each deployment gets a fresh virtual day, as in a multi-day campaign,
+    so no scan exhausts the daily quota; `boundary` searches a line.
     """
 
     target_id = "probe"
