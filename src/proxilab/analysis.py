@@ -19,7 +19,7 @@ import math
 import os
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .geo import GeoPoint, ProjectionDomainError, destination, to_local
@@ -38,6 +38,7 @@ from .service import (
     Quantizer,
     Service,
     TargetRegistry,
+    dumps,
 )
 
 DEFAULT_STEP_M = 10.0  # target displacement per tile-size deployment
@@ -130,15 +131,7 @@ class PrivacyReport:
     n_queries: int
 
     def to_dict(self) -> dict:
-        return {
-            "rect": {"x_m": self.rect.x_m, "x_M": self.rect.x_M, "y_m": self.rect.y_m, "y_M": self.rect.y_M},
-            "centroid": list(self.centroid),
-            "tile_size_m": self.tile_size_m,
-            "max_error_m": self.max_error_m,
-            "shape": self.shape.value,
-            "n_transitions": self.n_transitions,
-            "n_queries": self.n_queries,
-        }
+        return asdict(self)
 
 
 # City list spanning latitudes 5 to 71 degrees north, used by the default
@@ -334,20 +327,20 @@ class SimulatorLab:
         self._client = LocalClient(Service(self._registry, Quantizer(grid_deg)), "surveyor")
         self._day = 0
 
-    def boundary(self, base: GeoPoint, bearing: float, offset: float) -> float:
-        """Deploy the target `offset` meters from base along the bearing, on
-        a fresh virtual day, and return the distance from base, along the
-        bearing, of the nearest class boundary beyond it: step out by the jump
-        until the class reads 1000, then bisect to `LAB_ACCURACY_M`. Every lab
-        deployment goes through here; its result depends only on the arguments, or it raises a RuntimeError."""
-        self._registry.move(self.target_id, destination(base, bearing, offset))
+    def boundary(self, base: GeoPoint, offset: float) -> float:
+        """Deploy the target `offset` meters east of base, on a fresh virtual
+        day, and return the distance east of base of the nearest class
+        boundary beyond it: step out by the jump until the class reads 1000,
+        then bisect to `LAB_ACCURACY_M`. Every lab deployment goes through
+        here; its result depends only on the arguments, or it raises a RuntimeError."""
+        self._registry.move(self.target_id, destination(base, 90.0, offset))
         self._day += 1
         sess = ProbeSession(self._client, self.target_id, start_ts=self._day * SECONDS_PER_DAY)
 
         def inside(t: float) -> bool:
-            cls = sess.query_class(destination(base, bearing, t))
+            cls = sess.query_class(destination(base, 90.0, t))
             if cls not in (INNER_CLASS_M, OUTER_CLASS_M):
-                raise InconsistentOracleError(f"class {cls!r} at {t:g} m along the lab's bearing")
+                raise InconsistentOracleError(f"class {cls!r} at {t:g} m east of the lab's base")
             return cls == INNER_CLASS_M
 
         lo, hi = offset, offset + sess.cfg.jump  # the target's own position reads 500
@@ -358,13 +351,13 @@ class SimulatorLab:
             lo, hi = (mid, hi) if inside(mid) else (lo, mid)
         return (lo + hi) / 2.0
 
-    def ladder(self, base: GeoPoint, bearing: float, step: float, end: float):
-        """Deploy the target at rung k, k * step meters from base along the
-        bearing, for every rung up to `end` meters, and yield (offset,
-        boundary) per rung."""
+    def ladder(self, base: GeoPoint, step: float, end: float):
+        """Deploy the target at rung k, k * step meters east of base, for
+        every rung up to `end` meters, and yield (offset, boundary) per
+        rung."""
         for k in range(_last_rung(step, end) + 1):
             offset = k * step
-            yield offset, self.boundary(base, bearing, offset)
+            yield offset, self.boundary(base, offset)
 
 
 def _last_rung(step: float, end: float) -> int:
@@ -394,13 +387,13 @@ def _next_shift(
         if ok == last:
             return None
         k = min(ok + stride, last)
-        b = lab.boundary(base, 90.0, k * step)
+        b = lab.boundary(base, k * step)
         if abs(b - ref) > threshold:
             break
         ok, stride = k, 2 * stride
     while k - ok > 1:
         mid = (ok + k) // 2
-        b_mid = lab.boundary(base, 90.0, mid * step)
+        b_mid = lab.boundary(base, mid * step)
         if abs(b_mid - ref) > threshold:
             k, b = mid, b_mid
         else:
@@ -432,7 +425,7 @@ def estimate_tile_size(lab: SimulatorLab, base: GeoPoint, step: float = DEFAULT_
     threshold = 5.0 * LAB_ACCURACY_M  # real shifts are >= one tile, far above jitter
     last = _last_rung(step, TILE_SCAN_SPAN_M)
     shift_offsets: list[float] = []
-    lo, ref = 0, lab.boundary(base, 90.0, 0.0)
+    lo, ref = 0, lab.boundary(base, 0.0)
     while len(shift_offsets) < TILE_SHIFTS:
         found = _next_shift(lab, base, step, last, lo, ref, threshold)
         if found is None:
@@ -592,23 +585,23 @@ def build_report(tset: TransitionSet, anchor: GeoPoint) -> PrivacyReport:
 # -- file outputs -------------------------------------------------------------
 
 
-def write_csv(path: str, header, rows, config: dict | None = None) -> None:
+def write_csv(path: str, header, rows, config: dict) -> None:
     """CSV under a one-line `# config {...}` echo of the run configuration;
     rows may be a generator, consumed while the file is written."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# config " + json.dumps(config or {}, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write("# config " + dumps(config) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def write_sweep_csv(path: str, rows: list[SweepRow], config: dict | None = None) -> None:
+def write_sweep_csv(path: str, rows: list[SweepRow], config: dict) -> None:
     """A failed row leaves l_m and D_m empty: csv writes None as ""."""
     out = ([r.name, r.lat, r.lon, r.tile_size_m, r.max_error_m, r.shape] for r in rows)
     write_csv(path, ["name", "lat", "lon", "l_m", "D_m", "shape"], out, config)
 
 
-def write_ecdf_csv(path: str, dist: Ecdf, config: dict | None = None) -> None:
+def write_ecdf_csv(path: str, dist: Ecdf, config: dict) -> None:
     write_csv(path, ["value", "F", "lo", "hi"], dist.rows(), config)
 
 
@@ -619,5 +612,5 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_report_json(path: str, report: PrivacyReport, config: dict | None = None) -> None:
-    write_json(path, {"config": config or {}, "report": report.to_dict()})
+def write_report_json(path: str, report: PrivacyReport, config: dict) -> None:
+    write_json(path, {"config": config, "report": report.to_dict()})

@@ -68,7 +68,6 @@ class ExperimentConfig:
             accuracy=self.accuracy,
             jump=self.jump,
             max_queries=self.max_queries,
-            speed_limit=self.speed_limit,
         )
 
 
@@ -332,6 +331,7 @@ def cmd_figures(args) -> int:
 
 
 def _write_figures(args, config: ExperimentConfig) -> None:
+    """Build every dataset, then write them: a failure leaves --out empty."""
     cfg_dict = config.to_dict()
     seed = config.seed
 
@@ -364,9 +364,7 @@ def _write_figures(args, config: ExperimentConfig) -> None:
         # canned walk seed whose crossings reach all four arm tips.
         equator_target = GeoPoint(0.0, 0.0)
         tset, _ = analysis.run_probe_deployment(equator_target, seed=seed + 1, grid_deg=config.grid_deg)
-        prober.write_transitions(path("walk_transitions.jsonl"), tset, config=cfg_dict)
         report = analysis.build_report(tset, equator_target)
-        analysis.write_report_json(path("walk_report.json"), report, config=cfg_dict)
         summary["walk"] = {"n_transitions": len(tset), "n_queries": tset.total_queries}
 
         # One mid-latitude deployment for the cell-to-box area ratio.
@@ -386,10 +384,9 @@ def _write_figures(args, config: ExperimentConfig) -> None:
         # plot: rungs ten steps apart, but no more than PLOT_LADDER_RUNGS.
         ladder_end = 4.5 * Quantizer(config.grid_deg).cell_size(0.0)
         ladder_step = max(config.step * 10, ladder_end / PLOT_LADDER_RUNGS)
-        ladder = analysis.SimulatorLab(grid_deg=config.grid_deg).ladder(
-            GeoPoint(*analysis.SWEEP_CITIES[0][1:]), 90.0, ladder_step, ladder_end
-        )
-        analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder, config=cfg_dict)
+        ladder = list(analysis.SimulatorLab(grid_deg=config.grid_deg).ladder(
+            GeoPoint(*analysis.SWEEP_CITIES[0][1:]), ladder_step, ladder_end
+        ))
 
         # Shape taxonomy at a low and a mid latitude (low-latitude walk uses the
         # canned +1 seed for full tip coverage, as in the equator walk).
@@ -406,8 +403,6 @@ def _write_figures(args, config: ExperimentConfig) -> None:
 
     # Latitude sweep over the bundled city list; its first row, on the
     # ladder's city, is the tile-size estimate.
-    analysis.write_sweep_csv(path("sweep.csv"), rows, config=cfg_dict)
-    _warn_failed_rows(rows)
     summary["tile_estimate"] = {"name": rows[0].name, "l_m": rows[0].tile_size_m, "D_m": rows[0].max_error_m}
     summary["sweep"] = [
         {"name": r.name, "lat": r.lat, "l_m": r.tile_size_m, "D_m": r.max_error_m, "shape": r.shape}
@@ -416,10 +411,6 @@ def _write_figures(args, config: ExperimentConfig) -> None:
 
     phasors = [analysis.phasor((0.0, 0.0), analysis.centroid(r)) for r in rects]
     d_x, d_y = analysis.edge_offsets(rects)
-    analysis.write_ecdf_csv(path("edge_offset_x_ecdf.csv"), analysis.ecdf(d_x), config=cfg_dict)
-    analysis.write_ecdf_csv(path("edge_offset_y_ecdf.csv"), analysis.ecdf(d_y), config=cfg_dict)
-    analysis.write_ecdf_csv(path("radius_ecdf.csv"), analysis.ecdf([p.rho for p in phasors]), config=cfg_dict)
-    analysis.write_ecdf_csv(path("phase_ecdf.csv"), analysis.ecdf([p.phase for p in phasors]), config=cfg_dict)
     rho = [p.rho for p in phasors]
     summary["distributions"] = {
         "runs_used": len(rects),
@@ -428,6 +419,16 @@ def _write_figures(args, config: ExperimentConfig) -> None:
         "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho) if rho else None,
     }
 
+    prober.write_transitions(path("walk_transitions.jsonl"), tset, config=cfg_dict)
+    analysis.write_report_json(path("walk_report.json"), report, config=cfg_dict)
+    analysis.write_csv(path("tile_shifts.csv"), ["offset_m", "boundary_m"], ladder, config=cfg_dict)
+    analysis.write_sweep_csv(path("sweep.csv"), rows, config=cfg_dict)
+    _warn_failed_rows(rows)
+    # The uniform fits above took at least 20 samples, so no ECDF fails.
+    analysis.write_ecdf_csv(path("edge_offset_x_ecdf.csv"), analysis.ecdf(d_x), config=cfg_dict)
+    analysis.write_ecdf_csv(path("edge_offset_y_ecdf.csv"), analysis.ecdf(d_y), config=cfg_dict)
+    analysis.write_ecdf_csv(path("radius_ecdf.csv"), analysis.ecdf(rho), config=cfg_dict)
+    analysis.write_ecdf_csv(path("phase_ecdf.csv"), analysis.ecdf([p.phase for p in phasors]), config=cfg_dict)
     analysis.write_json(path("summary.json"), summary)
 
 

@@ -1,8 +1,8 @@
 """Geodetic primitives shared by the service, the prober and the analysis.
 
 Everything runs on a sphere of radius 6,378,137 m. At the sub-2 km scales
-probed here the spherical error is orders of magnitude below the 10 m
-boundary accuracy used anywhere else in the package.
+probed here the spherical error is orders of magnitude below the lab's
+1 m boundary accuracy, the finest in the package.
 """
 
 from __future__ import annotations

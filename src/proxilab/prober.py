@@ -10,14 +10,13 @@ speed threshold, so a default run never gets banned.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .geo import GeoPoint, destination, distance, midpoint
-from .service import DEFAULT_SPEED_LIMIT_MPS, DecodeError, QueryRejected, decode, is_number
+from .service import DEFAULT_SPEED_LIMIT_MPS, DecodeError, QueryRejected, decode, dumps, is_number
 
 INNER_CLASS_M = 500
 OUTER_CLASS_M = 1000
@@ -42,8 +41,9 @@ class InconsistentOracleError(RuntimeError):
     """A probe returned a class outside the expected 500/1000 pair.
 
     Happens against the simulator near the poles, where a cell is smaller
-    than the walker's jump, and against a live service whose target moves
-    mid-bisection.
+    than the walker's jump, at mid latitudes on some pitches (class 2000 at
+    40 deg on a 0.008 deg grid, at the equator on a 0.02 deg grid), and
+    against a live service whose target moves mid-bisection.
     """
 
 
@@ -97,7 +97,6 @@ class ProbeConfig:
     jump: float = 100.0
     max_queries: int = 1000
     reset_distance: float = 3000.0
-    speed_limit: float = DEFAULT_SPEED_LIMIT_MPS
 
     def __post_init__(self) -> None:
         # Negated so that NaN fails too; an infinite jump lands nowhere.
@@ -128,13 +127,13 @@ class TransitionSet:
         return len(self.transitions)
 
 
-def pace(prev_pos: GeoPoint, next_pos: GeoPoint, prev_ts: float, speed: float = PACE_SPEED_MPS) -> float:
+def pace(prev_pos: GeoPoint, next_pos: GeoPoint, prev_ts: float) -> float:
     """Earliest next timestamp that keeps the implied speed under the ban
     threshold; a zero displacement still ticks the clock by one second."""
     d = distance(prev_pos, next_pos)
     if d == 0.0:
         return prev_ts + PACE_IDLE_S
-    return prev_ts + d / speed
+    return prev_ts + d / PACE_SPEED_MPS
 
 
 class ProbeSession:
@@ -167,7 +166,6 @@ class ProbeSession:
         # Bound once: query_class reads these on every query.
         self._search = client.search
         self._max_queries = self.cfg.max_queries
-        self._pace_speed = self.cfg.speed_limit * PACE_MARGIN
 
     @property
     def exploration_queries(self) -> int:
@@ -181,7 +179,7 @@ class ProbeSession:
         if self._pos is None:
             ts = self._ts
         else:
-            ts = pace(self._pos, pos, self._ts, self._pace_speed)
+            ts = pace(self._pos, pos, self._ts)
         try:
             entries = self._search(pos, ts)
         except QueryRejected as exc:
@@ -374,7 +372,7 @@ def transition_record(target: str, t: Transition) -> dict:
     }
 
 
-def write_transitions(path: str, tset: TransitionSet, config: dict | None = None) -> None:
+def write_transitions(path: str, tset: TransitionSet, config: dict) -> None:
     """JSONL: a meta record first (accounting plus config echo), then one
     record per transition."""
     meta = {
@@ -383,13 +381,12 @@ def write_transitions(path: str, tset: TransitionSet, config: dict | None = None
         "total_queries": tset.total_queries,
         "exploration_queries": tset.exploration_queries,
         "budget_exhausted": tset.budget_exhausted,
-        "config": config or {},
+        "config": config,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(dumps(meta) + "\n")
         for t in tset.transitions:
-            rec = transition_record(tset.target, t)
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(dumps(transition_record(tset.target, t)) + "\n")
 
 
 def _read_point(value, where: str) -> GeoPoint:

@@ -127,6 +127,12 @@ def decode(line: bytes | str) -> dict:
     return msg
 
 
+# Every JSON line the package writes, in one layout (sorted keys, compact
+# separators) from one encoder: json.dumps with keyword arguments would
+# build one per call. A NaN raises instead of writing invalid JSON.
+dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
 def is_number(value) -> bool:
     """True for a number read from JSON that a float can hold: a float, or
     an int no larger in magnitude than the largest float, but not JSON true

@@ -25,6 +25,7 @@ from .service import (
     Service,
     SpeedBanError,
     decode,
+    dumps,
     is_number,
 )
 
@@ -42,10 +43,7 @@ _CODE_TO_ERROR = {exc.code: exc for exc in (FloodWaitError, SpeedBanError)}
 ERROR_CODES = ("BAD_REQUEST", "INTERNAL", *_CODE_TO_ERROR)
 
 _log = logging.getLogger(__name__)
-# One encoder for every message: json.dumps with keyword arguments would
-# build a new one per call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-# The two hot messages, written in _ENCODER's layout (sorted keys, compact
+# The two hot messages, written in `dumps`'s layout (sorted keys, compact
 # separators) from a template; `encode` fills them field by field.
 _RESULT_FIELDS = {"v", "type", "entries"}
 _ENTRY_FIELDS = {"id", "class_m"}
@@ -57,12 +55,12 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _value(v) -> str:
-    """A field value as _ENCODER writes it inside a message: an exact int
+    """A field value as `dumps` writes it inside a message: an exact int
     or a finite float is its repr; anything else (a bool, NaN, a nested
-    object) goes to _ENCODER, which writes it or raises as it would have."""
+    object) goes to `dumps`, which writes it or raises as it would have."""
     if type(v) is int or (type(v) is float and math.isfinite(v)):
         return repr(v)
-    return _ENCODER.encode(v)
+    return dumps(v)
 
 
 def encode(msg: dict) -> bytes:
@@ -70,8 +68,8 @@ def encode(msg: dict) -> bytes:
 
     A search request or a result listing whose string fields are str is
     written from its template, fields in sorted-key order so that the first
-    bad value raises as _ENCODER would; every other message goes to
-    _ENCODER. The bytes are the same either way."""
+    bad value raises as `dumps` would; every other message goes to
+    `dumps`. The bytes are the same either way."""
     if type(msg) is dict:
         keys = msg.keys()
         if keys == REQUEST_FIELDS:
@@ -91,7 +89,7 @@ def encode(msg: dict) -> bytes:
                     parts.append(_ENTRY % (_value(e["class_m"]), _quote(e["id"])))
                 else:
                     return (_RESULT_LINE % (",".join(parts), _quote(kind), _value(msg["v"]))).encode("ascii")
-    return (_ENCODER.encode(msg) + "\n").encode("utf-8")
+    return (dumps(msg) + "\n").encode("utf-8")
 
 
 def decode_request(line: bytes | str) -> dict:

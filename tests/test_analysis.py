@@ -334,7 +334,7 @@ def _ladder_tile_size(base: GeoPoint, step: float) -> float:
     threshold = 5.0 * analysis.LAB_ACCURACY_M
     shift_offsets: list[float] = []
     prev = None
-    for offset, boundary in lab.ladder(base, 90.0, step, TILE_SCAN_SPAN_M):
+    for offset, boundary in lab.ladder(base, step, TILE_SCAN_SPAN_M):
         if prev is not None and abs(boundary - prev) > threshold:
             shift_offsets.append(offset - step / 2.0)
             if len(shift_offsets) >= TILE_SHIFTS:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -20,6 +22,7 @@ import pytest
 from proxilab import analysis
 from proxilab.analysis import DEFAULT_STEP_M, SWEEP_CITIES
 from proxilab.cli import (
+    EXIT_BANNED,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_NOT_FOUND,
@@ -163,6 +166,32 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_hint_far_from_the_target_exits_not_found(self, tmp_path, capsys):
+        # No probe within 1 km of the hint lists a target 23 deg away.
+        targets = _file(tmp_path / "t23.jsonl", '{"id": "alice", "lat": 23.0, "lon": 51.35}\n')
+        out = tmp_path / "t.jsonl"
+        code = main(["attack", "--targets", targets, "--target", "alice", "--hint", "0,0", "--out", str(out)])
+        assert code == EXIT_NOT_FOUND
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["error: target not found: no inner-class position within 48 probes of the hint"]
+        assert not out.exists()
+
+    def test_service_banning_the_walker_exits_banned(self, tmp_path, capsys):
+        # The walker paces just under the default 25 m/s; this server bans
+        # above 1 m/s, so the first jump after the hint is banned.
+        registry = TargetRegistry()
+        registry.add("alice", GeoPoint(0.0, 0.0))
+        out = tmp_path / "t.jsonl"
+        with ApiServer(Service(registry, speed_limit_mps=1.0), "127.0.0.1", 0) as server:
+            code = main([
+                "attack", "--endpoint", "%s:%d" % server.address, "--target", "alice",
+                "--hint", "0,0", "--out", str(out),
+            ])
+        assert code == EXIT_BANNED
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["error: banned during choose-direction: SPEED_BAN"]
+        assert not out.exists()
+
     def test_walk_past_the_mercator_limit_over_tcp_exits_with_config_error(self, tmp_path, capsys):
         # The server answers the walk's first query beyond 85.06 deg with
         # BAD_REQUEST, which the client raises as a ProtocolError.
@@ -241,6 +270,16 @@ class TestAnalyze:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_target_missing_from_the_registry_exits_not_found(self, tmp_path, capsys):
+        tfile = _transitions_file(tmp_path, json.dumps(_RECORD))
+        targets = _file(tmp_path / "bob.jsonl", '{"id": "bob", "lat": 0.0, "lon": 0.0}\n')
+        out = tmp_path / "r.json"
+        code = main(["analyze", "--transitions", tfile, "--targets", targets, "--out", str(out)])
+        assert code == EXIT_NOT_FOUND
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["error: target 'alice' not in registry"]
+        assert not out.exists()
 
     def test_non_object_line_is_a_bad_transitions_file(self, tmp_path, registry_file, capsys):
         tfile = tmp_path / "t.jsonl"
@@ -402,6 +441,16 @@ def _sweep_with(*flags):
     return lambda tmp, reg: ["sweep", *flags, "--out", str(tmp / "s.csv")]
 
 
+@functools.cache
+def _silent_endpoint() -> str:
+    """host:port of a socket that listens and never answers: a connection
+    to it completes in the listen backlog. Opened on first use and closed
+    at exit, since a BAD_INPUTS argv builder cannot take a fixture."""
+    sock = socket.create_server(("127.0.0.1", 0))
+    atexit.register(sock.close)
+    return "%s:%d" % sock.getsockname()
+
+
 # A JSON integer too large for a float, and one past int's digit limit.
 _HUGE_INT = "1" + "0" * 400
 _OVERLONG_INT = "1" + "0" * 5_000
@@ -506,6 +555,21 @@ BAD_INPUTS = [
                                 + json.dumps(_RECORD) + "\n"),
                           "--targets", reg, "--out", str(tmp / "r.json")],
         "t.jsonl:1: target must be a non-empty string", id="list-transitions-target",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--endpoint", _silent_endpoint(), "--target", "alice",
+                          "--out", str(tmp / "t.jsonl")],
+        "--hint required", id="endpoint-without-hint",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD)),
+                          "--targets", str(tmp / "nope.jsonl"), "--out", str(tmp / "r.json")],
+        "cannot read registry", id="analyze-missing-registry",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD) + "\n" + json.dumps(_RECORD)),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "need >= 4 transitions, have 2", id="two-transitions",
     ),
     pytest.param(_attack_with("--accuracy", "nan"), "--accuracy", id="nan-accuracy"),
     pytest.param(_attack_with("--accuracy", "inf"), "--accuracy", id="inf-accuracy"),
@@ -743,6 +807,7 @@ class TestFigures:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "class 2000 while walking inward" in errors[0]
         assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path / "figs") == []
 
     # The equator walk fails at each pitch: at 0.1 deg its crossings are too
     # few for a box, at 0.05 and 0.0005 deg it sees a class outside the
@@ -761,6 +826,7 @@ class TestFigures:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("error: figures: ") and fragment in errors[0]
         assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path / "figs") == []
 
     def test_pooled_runs_match_a_serial_loop(self, tmp_path, monkeypatch):
         """The four ECDF files, `sweep.csv` and the summary distributions and
