@@ -9,6 +9,7 @@ a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -36,6 +37,15 @@ MIN_STEP_M = 1e-6
 PLOT_LADDER_RUNGS = 250
 # Each pooled run gives two edge samples per axis to the uniform fits.
 MIN_FIGURE_RUNS = analysis.UNIFORM_FIT_MIN_SAMPLES // 2
+
+
+class CommandError(Exception):
+    """A subcommand's failure, which `main` prints as its one `error:` line
+    before exiting with `code`."""
+
+    def __init__(self, message: str, code: int = EXIT_CONFIG):
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass
@@ -157,11 +167,9 @@ def cmd_serve(args) -> int:
     try:
         server = build_server(args)
     except RegistryFormatError as exc:
-        print(f"error: bad registry {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(f"bad registry {exc}") from exc
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(str(exc)) from exc
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -171,46 +179,46 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def _attack_client(args, config: ExperimentConfig):
-    """Either a TCP client for --endpoint or an in-process service from
-    --targets. Returns (client, registry or None, closer)."""
+def _registry_position(registry: TargetRegistry, target: str) -> GeoPoint:
+    if target not in registry:
+        raise CommandError(f"target {target!r} not in registry", EXIT_NOT_FOUND)
+    return registry.position(target)
+
+
+def _attack_client(args, config: ExperimentConfig, stack: contextlib.ExitStack):
+    """Either a TCP client for --endpoint, closed with `stack`, or an
+    in-process service from --targets. Returns (client, hint)."""
     if args.endpoint is not None:
-        host, port = args.endpoint
-        client = wire.TcpClient(host, port, args.account)
-        return client, None, client.close
-    registry = TargetRegistry.from_jsonl(args.targets)
-    return LocalClient(config.service(registry), args.account), registry, lambda: None
+        try:
+            client = stack.enter_context(wire.TcpClient(*args.endpoint, args.account))
+        except OSError as exc:
+            raise CommandError(f"cannot open --endpoint: {exc}") from exc
+        if args.hint is None:
+            raise CommandError("--hint required (no registry to look the target up in)")
+        return client, args.hint
+    try:
+        registry = TargetRegistry.from_jsonl(args.targets)
+    except RegistryFormatError as exc:
+        raise CommandError(f"bad registry {exc}") from exc
+    except OSError as exc:
+        raise CommandError(f"cannot open --targets: {exc}") from exc
+    position = _registry_position(registry, args.target)
+    hint = position if args.hint is None else args.hint
+    return LocalClient(config.service(registry), args.account), hint
 
 
 def cmd_attack(args) -> int:
-    config = _config_from_args(args)
     if args.endpoint is None and args.targets is None:
-        print("error: either --endpoint or --targets is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError("either --endpoint or --targets is required")
+    if args.endpoint is not None and args.targets is not None:
+        raise CommandError("--endpoint and --targets exclude each other")
+    config = _config_from_args(args)
     try:
         probe_config = config.probe_config()
     except ValueError as exc:  # --jump not above --accuracy
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        client, registry, closer = _attack_client(args, config)
-    except RegistryFormatError as exc:
-        print(f"error: bad registry {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        flag = "--targets" if args.endpoint is None else "--endpoint"
-        print(f"error: cannot open {flag}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if registry is not None and args.target not in registry:
-            print(f"error: target {args.target!r} not in registry", file=sys.stderr)
-            return EXIT_NOT_FOUND
-        hint = args.hint
-        if hint is None:
-            if registry is None:
-                print("error: --hint required (no registry to look the target up in)", file=sys.stderr)
-                return EXIT_CONFIG
-            hint = registry.position(args.target)
+        raise CommandError(str(exc)) from exc
+    with contextlib.ExitStack() as stack:
+        client, hint = _attack_client(args, config, stack)
         try:
             tset = collect_transitions(
                 client,
@@ -221,62 +229,46 @@ def cmd_attack(args) -> int:
                 rng=random.Random(config.seed),
             )
         except TargetNotFoundError as exc:
-            print(f"error: target not found: {exc}", file=sys.stderr)
-            return EXIT_NOT_FOUND
+            raise CommandError(f"target not found: {exc}", EXIT_NOT_FOUND) from exc
         except AttackBannedError as exc:
-            print(f"error: banned during {exc.step}: {exc.cause.code}", file=sys.stderr)
-            return EXIT_BANNED
+            raise CommandError(str(exc), EXIT_BANNED) from exc
         except ProjectionDomainError as exc:  # the hint or a probe past the Mercator limit
-            print(f"error: query outside the service's domain: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise CommandError(f"query outside the service's domain: {exc}") from exc
         except InconsistentOracleError as exc:  # the walker's polar defect, or a moving target
-            print(f"error: walk got an unexpected class: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise CommandError(f"walk got an unexpected class: {exc}") from exc
         except (ProtocolError, wire.DecodeError) as exc:  # BAD_REQUEST included
-            print(f"error: bad reply from --endpoint: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise CommandError(f"bad reply from --endpoint: {exc}") from exc
         except OSError as exc:
-            print(f"error: connection to --endpoint failed: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        prober.write_transitions(args.out, tset, config=config.to_dict())
-        print(
-            f"collected {len(tset)} transition(s) in {tset.total_queries} queries"
-            f" ({tset.exploration_queries} exploration) -> {args.out}"
-        )
-        if tset.budget_exhausted:
-            print("budget exhausted before the requested transition count", file=sys.stderr)
-            return EXIT_BUDGET
-        return EXIT_OK
-    finally:
-        closer()
+            raise CommandError(f"connection to --endpoint failed: {exc}") from exc
+    prober.write_transitions(args.out, tset, config=config.to_dict())
+    print(
+        f"collected {len(tset)} transition(s) in {tset.total_queries} queries"
+        f" ({tset.exploration_queries} exploration) -> {args.out}"
+    )
+    if tset.budget_exhausted:
+        print("budget exhausted before the requested transition count", file=sys.stderr)
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     try:
         tset, meta = prober.read_transitions(args.transitions)
     except OSError as exc:
-        print(f"error: cannot read transitions: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(f"cannot read transitions: {exc}") from exc
     except ValueError as exc:
-        print(f"error: bad transitions file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(f"bad transitions file: {exc}") from exc
     try:
         registry = TargetRegistry.from_jsonl(args.targets)
     except (RegistryFormatError, OSError) as exc:
-        print(f"error: cannot read registry: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if tset.target not in registry:
-        print(f"error: target {tset.target!r} not in registry", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    anchor = registry.position(tset.target)
+        raise CommandError(f"cannot read registry: {exc}") from exc
+    anchor = _registry_position(registry, tset.target)
     try:
         report = analysis.build_report(tset, anchor)
     except analysis.InsufficientCoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(str(exc)) from exc
     except LocalFrameRangeError as exc:
-        print(f"error: transitions far from the registry position of {tset.target!r}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(f"transitions far from the registry position of {tset.target!r}: {exc}") from exc
     analysis.write_report_json(args.out, report, config=meta.get("config", {}))
     print(f"report -> {args.out}")
     return EXIT_OK
@@ -285,7 +277,10 @@ def cmd_analyze(args) -> int:
 def _sweep_locations(args):
     if args.targets is None:
         return analysis.SWEEP_CITIES
-    registry = TargetRegistry.from_jsonl(args.targets)
+    try:
+        registry = TargetRegistry.from_jsonl(args.targets)
+    except (RegistryFormatError, OSError) as exc:
+        raise CommandError(f"cannot read locations: {exc}") from exc
     return tuple((rec.id, rec.pos.lat, rec.pos.lon) for rec in registry.iter_sorted())
 
 
@@ -297,13 +292,8 @@ def _warn_failed_rows(rows: list[analysis.SweepRow]) -> None:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    try:
-        locations = _sweep_locations(args)
-    except (RegistryFormatError, OSError) as exc:
-        print(f"error: cannot read locations: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     rows = analysis.latitude_sweep(
-        locations,
+        _sweep_locations(args),
         step=config.step,
         grid_deg=config.grid_deg,
         seed=config.seed,
@@ -319,13 +309,11 @@ def cmd_figures(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:  # --out names a file, or lies under one
-        print(f"error: cannot create the --out directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(f"cannot create the --out directory: {exc}") from exc
     try:
         _write_figures(args, config)
     except (RuntimeError, analysis.InsufficientCoverageError) as exc:  # a canned walk, the ladder or a pooled run
-        print(f"error: figures: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(f"figures: {exc}") from exc
     print(f"figure datasets -> {args.out}")
     return EXIT_OK
 
@@ -514,7 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

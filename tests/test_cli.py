@@ -166,6 +166,24 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_endpoint_and_targets_together_exit_with_config_error_before_any_query(self, tmp_path, capsys):
+        # The two name different services, so neither may be dropped silently.
+        registry = TargetRegistry()
+        registry.add("t", GeoPoint(23.0, 51.35))
+        service = Service(registry)
+        targets = _file(tmp_path / "elsewhere.jsonl", '{"id": "elsewhere", "lat": 0.0, "lon": 0.0}\n')
+        out = tmp_path / "t.jsonl"
+        with ApiServer(service, "127.0.0.1", 0) as server:
+            code = main([
+                "attack", "--endpoint", "%s:%d" % server.address, "--targets", targets,
+                "--target", "t", "--hint", "23.0,51.35", "--out", str(out),
+            ])
+        assert code == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["error: --endpoint and --targets exclude each other"]
+        assert not out.exists()
+        assert service.account("finder").total_admitted == 0
+
     def test_hint_far_from_the_target_exits_not_found(self, tmp_path, capsys):
         # No probe within 1 km of the hint lists a target 23 deg away.
         targets = _file(tmp_path / "t23.jsonl", '{"id": "alice", "lat": 23.0, "lon": 51.35}\n')
@@ -584,6 +602,10 @@ BAD_INPUTS = [
     pytest.param(_attack_with("--grid-deg", "0"), "--grid-deg", id="zero-grid"),
     pytest.param(_attack_with("--grid-deg", "-0.005"), "--grid-deg", id="negative-grid"),
     pytest.param(_attack_with("--transitions", "0"), "--transitions", id="zero-transitions"),
+    pytest.param(_attack_with("--transitions", "abc"),
+                 "argument --transitions: expected an integer of at least 1, got 'abc'", id="non-integer-transitions"),
+    pytest.param(_attack_with("--accuracy", "abc"),
+                 "argument --accuracy: expected a finite number above 0, got 'abc'", id="non-number-accuracy"),
     pytest.param(_attack_with("--account", ""), "--account", id="empty-account"),
     pytest.param(_attack_with("--max-queries", "0"), "--max-queries", id="zero-max-queries"),
     pytest.param(_sweep_with("--step", "-10"), "--step", id="negative-step"),

@@ -111,6 +111,19 @@ class TestFindInwardStart:
         assert sess.queries <= 20
         assert oracle_class(start, target) == 500
 
+    def test_hint_outside_the_region_finds_a_start_in_its_disc(self):
+        # 1.2 km north of the target the hint reads the outer class, so the
+        # start is a draw from the 1 km disc around it.
+        target = GeoPoint(23.0, 51.35)
+        client, _ = make_setup(target)
+        sess = ProbeSession(client, "t", rng=random.Random(0))
+        hint = destination(target, 0.0, 1200.0)
+        assert oracle_class(hint, target) == OUTER_CLASS_M
+        start = sess.find_inward_start(hint)
+        assert sess.queries == 4
+        assert distance(start, hint) == pytest.approx(715.0, abs=1.0)
+        assert oracle_class(start, target) == INNER_CLASS_M
+
     def test_hint_10km_away_not_found(self):
         target = GeoPoint(0, 0)
         client, service = make_setup(target)
@@ -277,6 +290,13 @@ class TestCollect:
         assert len(tset) <= 1
         assert tset.total_queries == 3
 
+    def test_odd_transition_count_ends_on_an_out_transition(self):
+        target = GeoPoint(23.0, 51.35)
+        client, _ = make_setup(target)
+        tset = collect_transitions(client, "t", hint=target, n_transitions=5, rng=random.Random(0))
+        assert not tset.budget_exhausted
+        assert [t.direction for t in tset.transitions] == [Direction.OUT, Direction.IN] * 2 + [Direction.OUT]
+
     def test_equal_seeds_reproduce_identical_sets(self):
         target = GeoPoint(40.0, -3.0)
 
@@ -355,6 +375,18 @@ class TestTransitionsFile:
         tset = collect_transitions(client, "t", hint=target, rng=random.Random(1))
         path = tmp_path / "transitions.jsonl"
         write_transitions(str(path), tset, config={"seed": 1})
+        loaded, meta = read_transitions(str(path))
+        assert loaded == tset
+        assert meta["config"] == {"seed": 1}
+
+    def test_blank_and_whitespace_lines_are_skipped(self, tmp_path):
+        target = GeoPoint(0, 0)
+        client, _ = make_setup(target)
+        tset = collect_transitions(client, "t", hint=target, n_transitions=4, rng=random.Random(1))
+        path = tmp_path / "transitions.jsonl"
+        write_transitions(str(path), tset, config={"seed": 1})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("\n" + lines[0] + "  \t\n" + "".join(lines[1:]) + "\n \n")
         loaded, meta = read_transitions(str(path))
         assert loaded == tset
         assert meta["config"] == {"seed": 1}

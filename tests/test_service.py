@@ -1116,6 +1116,16 @@ class TestRegistryFile:
         assert reg.position("t1").lat == 25.26174
         assert [rec.contact_of for rec in reg.iter_sorted()] == [frozenset(), frozenset({"a"})]
 
+    def test_blank_and_whitespace_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "targets.jsonl"
+        path.write_text('\n{"id": "t1", "lat": 1, "lon": 2}\n  \t\n{"id": "t2", "lat": 3, "lon": 4}\n \n')
+        reg = TargetRegistry.from_jsonl(str(path))
+        assert [(r.id, r.pos.lat) for r in reg.iter_sorted()] == [("t1", 1.0), ("t2", 3.0)]
+        path.write_text('\n  \t\nnot json\n')
+        with pytest.raises(RegistryFormatError) as ei:
+            TargetRegistry.from_jsonl(str(path))
+        assert ei.value.line_no == 3
+
     def test_position_outside_mercator_domain_reports_line_number(self, tmp_path):
         path = tmp_path / "targets.jsonl"
         path.write_text('{"id": "ok", "lat": 0, "lon": 0}\n{"id": "polar", "lat": 86, "lon": 0}\n')

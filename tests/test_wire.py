@@ -167,6 +167,21 @@ class TestServer:
             resp = client.request(msg)
             assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("type", "result", "unsupported request type 'result'"),
+        ("account", "", "account must be a non-empty string"),
+    ], ids=["type_other_than_search", "empty_account"])
+    def test_request_the_server_cannot_serve_gets_bad_request(self, served, field, value, reason):
+        msg = {**make_search("a", GeoPoint(0, 0), 0.0), field: value}
+        with pytest.raises(DecodeError, match=reason):
+            decode_request(encode(msg))
+        (host, port), _ = served
+        with TcpClient(host, port, "a") as client:
+            resp = client.request(msg)
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+            # connection still usable
+            assert client.search(GeoPoint(0, 0), 0.0) == [("t", 500)]
+
     @pytest.mark.parametrize("field", ["lat", "lon", "ts"])
     def test_int_too_large_for_a_float_gets_bad_request(self, served, field):
         # 400 digits fit well inside MAX_REQUEST_BYTES; a float cannot hold them.
@@ -301,6 +316,14 @@ class TestClientResponses:
         (host, port), thread = one_shot_server(encode({"v": 1, "type": "result", "entries": [entry]}))
         with TcpClient(host, port, "a", timeout=10.0) as client:
             with pytest.raises(ProtocolError, match="malformed result entries"):
+                client.search(GeoPoint(0, 0), 0.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_reply_of_an_unknown_type_raises_protocol_error(self):
+        (host, port), thread = one_shot_server(encode({"v": 1, "type": "pong"}))
+        with TcpClient(host, port, "a", timeout=10.0) as client:
+            with pytest.raises(ProtocolError, match="unexpected response type 'pong'"):
                 client.search(GeoPoint(0, 0), 0.0)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
