@@ -193,8 +193,6 @@ def _attack_client(args, config: ExperimentConfig, stack: contextlib.ExitStack):
             client = stack.enter_context(wire.TcpClient(*args.endpoint, args.account))
         except OSError as exc:
             raise CommandError(f"cannot open --endpoint: {exc}") from exc
-        if args.hint is None:
-            raise CommandError("--hint required (no registry to look the target up in)")
         return client, args.hint
     try:
         registry = TargetRegistry.from_jsonl(args.targets)
@@ -217,6 +215,8 @@ def cmd_attack(args) -> int:
         probe_config = config.probe_config()
     except ValueError as exc:  # --jump not above --accuracy
         raise CommandError(str(exc)) from exc
+    if args.endpoint is not None and args.hint is None:
+        raise CommandError("--hint required (no registry to look the target up in)")
     with contextlib.ExitStack() as stack:
         client, hint = _attack_client(args, config, stack)
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .geo import GeoPoint, destination, distance, midpoint
-from .service import DEFAULT_SPEED_LIMIT_MPS, DecodeError, QueryRejected, decode, dumps, is_number
+from .service import DEFAULT_SPEED_LIMIT_MPS, QueryRejected, dumps, is_number, read_jsonl, required
 
 INNER_CLASS_M = 500
 OUTER_CLASS_M = 1000
@@ -389,30 +389,28 @@ def write_transitions(path: str, tset: TransitionSet, config: dict) -> None:
             fh.write(dumps(transition_record(tset.target, t)) + "\n")
 
 
-def _read_point(value, where: str) -> GeoPoint:
+def _read_point(rec: dict, key: str) -> GeoPoint:
+    value = required(rec, key)
     if not (isinstance(value, list) and len(value) == 2 and all(is_number(v) for v in value)):
-        raise ValueError(f"{where}: expected a [lat, lon] pair of numbers, got {value!r}")
+        raise ValueError(f"{key}: expected a [lat, lon] pair of numbers, got {value!r}")
     try:
         return GeoPoint(value[0], value[1])
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(f"{key}: {exc}") from exc
 
 
-def _read_target(value, where: str, known: str | None) -> str:
+def _read_target(value, known: str | None) -> str:
     """A record's target, which must be `known` once an earlier record
     named one."""
     if type(value) is not str or not value:
-        raise ValueError(f"{where}: target must be a non-empty string, got {value!r}")
+        raise ValueError(f"target must be a non-empty string, got {value!r}")
     if known is not None and value != known:
-        raise ValueError(f"{where}: target {value!r} differs from {known!r} named before")
+        raise ValueError(f"target {value!r} differs from {known!r} named before")
     return value
 
 
-def _field(rec: dict, key: str, where: str):
-    try:
-        return rec[key]
-    except KeyError:
-        raise ValueError(f"{where}: missing field {key!r}") from None
+def _line_error(path: str, line_no: int, reason: str) -> ValueError:
+    return ValueError(f"{path}:{line_no}: {reason}")
 
 
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
@@ -424,42 +422,37 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     meta: dict = {}
     transitions: list[Transition] = []
     target = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                rec = decode(line)
-            except DecodeError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            if rec.get("type") == "meta":
-                meta = rec
-                if "target" in rec:
-                    target = _read_target(rec["target"], where, target)
-                for key in ("total_queries", "exploration_queries"):
-                    count = rec.get(key, 0)
-                    if type(count) is not int or count < 0:  # a bool is an int to isinstance
-                        raise ValueError(f"{where}: {key} must be a non-negative int, got {count!r}")
-                if not isinstance(rec.get("budget_exhausted", False), bool):
-                    raise ValueError(f"{where}: budget_exhausted must be a bool, got {rec['budget_exhausted']!r}")
-                continue
-            target = _read_target(_field(rec, "target", where), where, target)
-            inside = _read_point(_field(rec, "inside", where), f"{where}: inside")
-            outside = _read_point(_field(rec, "outside", where), f"{where}: outside")
-            bearing = _field(rec, "bearing", where)
-            if not is_number(bearing) or not math.isfinite(bearing):
-                raise ValueError(f"{where}: bearing must be a finite number, got {bearing!r}")
-            dir_value = _field(rec, "dir", where)
-            try:
-                direction = Direction(dir_value)
-            except ValueError as exc:
-                raise ValueError(f"{where}: dir: {exc}") from exc
-            queries = _field(rec, "queries", where)
-            if type(queries) is not int or queries < 0:
-                raise ValueError(f"{where}: queries must be a non-negative int, got {queries!r}")
-            transitions.append(Transition(inside, outside, bearing, direction, queries))
+
+    def parse(rec: dict) -> None:
+        nonlocal meta, target
+        if rec.get("type") == "meta":
+            meta = rec
+            if "target" in rec:
+                target = _read_target(rec["target"], target)
+            for key in ("total_queries", "exploration_queries"):
+                count = rec.get(key, 0)
+                if type(count) is not int or count < 0:  # a bool is an int to isinstance
+                    raise ValueError(f"{key} must be a non-negative int, got {count!r}")
+            if not isinstance(rec.get("budget_exhausted", False), bool):
+                raise ValueError(f"budget_exhausted must be a bool, got {rec['budget_exhausted']!r}")
+            return
+        target = _read_target(required(rec, "target"), target)
+        inside = _read_point(rec, "inside")
+        outside = _read_point(rec, "outside")
+        bearing = required(rec, "bearing")
+        if not is_number(bearing) or not math.isfinite(bearing):
+            raise ValueError(f"bearing must be a finite number, got {bearing!r}")
+        dir_value = required(rec, "dir")
+        try:
+            direction = Direction(dir_value)
+        except ValueError as exc:
+            raise ValueError(f"dir: {exc}") from exc
+        queries = required(rec, "queries")
+        if type(queries) is not int or queries < 0:
+            raise ValueError(f"queries must be a non-negative int, got {queries!r}")
+        transitions.append(Transition(inside, outside, bearing, direction, queries))
+
+    read_jsonl(path, parse, _line_error)
     if target is None:
         raise ValueError(f"{path}: no transition records")
     return (

@@ -127,6 +127,28 @@ def decode(line: bytes | str) -> dict:
     return msg
 
 
+def read_jsonl(path: str, parse, error) -> None:
+    """Call `parse(decode(line))` on each stripped, non-blank line of the
+    UTF-8 file at `path`, in order; blank lines are skipped but numbered. A
+    ValueError from either call, DecodeError included, becomes
+    `error(path, line_no, reason)`."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line := line.strip():
+                try:
+                    parse(decode(line))
+                except ValueError as exc:
+                    raise error(path, line_no, str(exc)) from exc
+
+
+def required(rec: dict, key: str):
+    """rec[key], or a ValueError naming the missing field."""
+    try:
+        return rec[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+
+
 # Every JSON line the package writes, in one layout (sorted keys, compact
 # separators) from one encoder: json.dumps with keyword arguments would
 # build one per call. A NaN raises instead of writing invalid JSON.
@@ -448,38 +470,19 @@ class TargetRegistry:
         number (JSON true and false included), or a contact id that is not
         a string."""
         reg = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = decode(line)
-                except DecodeError as exc:
-                    raise RegistryFormatError(path, line_no, str(exc)) from exc
-                try:
-                    tid = rec["id"]
-                    lat = rec["lat"]
-                    lon = rec["lon"]
-                except KeyError as exc:
-                    raise RegistryFormatError(path, line_no, f"missing field {exc.args[0]!r}") from exc
-                contacts = rec.get("contact_of", [])
-                if not isinstance(tid, str) or not tid:
-                    raise RegistryFormatError(
-                        path, line_no, f"id must be a non-empty string, got {tid!r}"
-                    )
-                if not (is_number(lat) and is_number(lon)):
-                    raise RegistryFormatError(
-                        path, line_no, f"lat and lon must be numbers, got {lat!r}, {lon!r}"
-                    )
-                if not isinstance(contacts, list) or not all(isinstance(a, str) for a in contacts):
-                    raise RegistryFormatError(
-                        path, line_no, f"contact_of must be a list of account ids, got {contacts!r}"
-                    )
-                try:
-                    reg.add(tid, GeoPoint(float(lat), float(lon)), contacts)
-                except ValueError as exc:
-                    raise RegistryFormatError(path, line_no, str(exc)) from exc
+
+        def add(rec: dict) -> None:
+            tid, lat, lon = required(rec, "id"), required(rec, "lat"), required(rec, "lon")
+            contacts = rec.get("contact_of", [])
+            if not isinstance(tid, str) or not tid:
+                raise ValueError(f"id must be a non-empty string, got {tid!r}")
+            if not (is_number(lat) and is_number(lon)):
+                raise ValueError(f"lat and lon must be numbers, got {lat!r}, {lon!r}")
+            if not isinstance(contacts, list) or not all(isinstance(a, str) for a in contacts):
+                raise ValueError(f"contact_of must be a list of account ids, got {contacts!r}")
+            reg.add(tid, GeoPoint(float(lat), float(lon)), contacts)
+
+        read_jsonl(path, add, RegistryFormatError)
         return reg
 
 

@@ -109,6 +109,62 @@ def oracle_region_cells(target: GeoPoint) -> set[tuple[int, int]]:
     }
 
 
+# Node rows of the default grid from the equator to the Mercator limit
+# (y = 180 deg, 85.0511 deg) in either hemisphere.
+ORACLE_TOP_ROW = round(180.0 / ORACLE_GRID_DEG)
+
+
+class OracleRegionTable:
+    """The 500 m region of a target on node (0, j) of the default grid, for
+    every row j within ORACLE_TOP_ROW of the equator, both hemispheres built
+    by the same loop.
+
+    Node (i, j + dj) belongs to the region when its haversine to the
+    target's node is at most 750 m, the 500/1000 cut with ties to 500; each
+    row dj of the region is one run of columns -k..k. `runs(j)` is the
+    region as ((dj, k), ...), ascending in dj. `breakpoints` lists the rows
+    whose runs differ from those of the row next to them toward the equator.
+    Rows step away from the equator, and each row run's search starts from
+    the k of the same dj one row before, which rarely changes.
+    """
+
+    def __init__(self):
+        self.breakpoints: list[int] = []
+        self._rows: dict[int, list] = {}  # per hemisphere sign, runs indexed by |j|
+        for sign in (1, -1):
+            rows = self._rows[sign] = []
+            ks: dict[int, int] = {}
+            for j in range(0, sign * (ORACLE_TOP_ROW + 1), sign):
+                runs = self._region(j, ks)
+                if rows and runs == rows[-1]:
+                    runs = rows[-1]  # one tuple per region keeps the table small
+                elif rows:
+                    self.breakpoints.append(j)
+                rows.append(runs)
+
+    @staticmethod
+    def _region(j: int, ks: dict[int, int]) -> tuple[tuple[int, int], ...]:
+        t_lat = oracle_inv_y(j * ORACLE_GRID_DEG)
+        runs = []
+        for dj, step in ((-1, -1), (0, 1)):
+            while True:
+                lat = oracle_inv_y((j + dj) * ORACLE_GRID_DEG)
+                k = ks.get(dj, 0)
+                while oracle_haversine(lat, (k + 1) * ORACLE_GRID_DEG, t_lat, 0.0) <= 750.0:
+                    k += 1
+                while k >= 0 and oracle_haversine(lat, k * ORACLE_GRID_DEG, t_lat, 0.0) > 750.0:
+                    k -= 1
+                if k < 0:
+                    break
+                ks[dj] = k
+                runs.append((dj, k))
+                dj += step
+        return tuple(sorted(runs))
+
+    def runs(self, j: int) -> tuple[tuple[int, int], ...]:
+        return self._rows[1 if j >= 0 else -1][abs(j)]
+
+
 def oracle_bbox_local(target: GeoPoint) -> tuple[float, float, float, float]:
     """Analytic transition-boundary box in local meters about the target."""
     grid = ORACLE_GRID_DEG
@@ -168,6 +224,11 @@ def walk_records(registry, center: GeoPoint, radius_m: float) -> list:
     in walk order."""
     with registry._lock:
         return [rec for group, _ in registry.walk(center, radius_m) for rec in group]
+
+
+@pytest.fixture(scope="session")
+def region_table() -> OracleRegionTable:
+    return OracleRegionTable()
 
 
 @pytest.fixture(scope="session")

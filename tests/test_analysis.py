@@ -105,6 +105,24 @@ class TestBoundingBox:
         assert grown.x_m <= rect_a.x_m
         assert grown.area >= rect_a.area
 
+    def test_rect_edges_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="^rect edges out of order$"):
+            Rect(1.0, 0.0, 0.0, 1.0)
+
+    def test_zero_width_straddle_at_the_box_center_is_skipped(self):
+        # Straddles at exactly +-0.004 deg about the anchor put the box
+        # center exactly on it, where a zero-width straddle names no face.
+        anchor = GeoPoint(0.0, 0.0)
+        ring = [GeoPoint(0.004, 0.0), GeoPoint(-0.004, 0.0), GeoPoint(0.0, 0.004), GeoPoint(0.0, -0.004)]
+
+        def zero_width(points):
+            transitions = [Transition(p, p, 0.0, Direction.OUT, 0) for p in points]
+            return TransitionSet(target="t", transitions=transitions, total_queries=0)
+
+        rect = bounding_box(zero_width(ring), anchor)
+        assert rect.center() == (0.0, 0.0)
+        assert bounding_box(zero_width(ring + [anchor]), anchor) == rect
+
     def test_simulator_run_edges_near_analytic(self):
         target = GeoPoint(0, 0)
         tset, _ = run_probe_deployment(target, seed=1)

@@ -160,6 +160,18 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_endpoint_without_hint_exits_with_config_error_before_connecting(self, tmp_path, capsys):
+        # Nothing listens on the port, so a connection attempt would fail
+        # with its own message first.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        out = tmp_path / "t.jsonl"
+        code = main(["attack", "--endpoint", f"127.0.0.1:{port}", "--target", "alice", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --hint required (no registry to look the target up in)\n"
+        assert not out.exists()
+
     def test_no_service_source_exits_with_config_error(self, tmp_path, capsys):
         code = main(["attack", "--target", "alice", "--out", str(tmp_path / "t.jsonl")])
         assert code == EXIT_CONFIG

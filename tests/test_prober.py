@@ -297,6 +297,17 @@ class TestCollect:
         assert not tset.budget_exhausted
         assert [t.direction for t in tset.transitions] == [Direction.OUT, Direction.IN] * 2 + [Direction.OUT]
 
+    def test_restarts_from_its_position_after_32_rejected_bearings(self):
+        # From 1 m inside the disc's east edge every eastward jump leaves the
+        # disc: after 32 of them the walk re-confirms its position (one
+        # query) and draws again.
+        center = GeoPoint(23.0, 51.35)
+        hint = destination(center, 90.0, 499.0)
+        rng = FakeRng([90.0] * 32 + [270.0])
+        tset = collect_transitions(DiscClient(center, 500.0), "t", hint=hint, n_transitions=1, rng=rng)
+        assert [t.bearing for t in tset.transitions] == [270.0]
+        assert (tset.exploration_queries, tset.total_queries) == (35, 48)
+
     def test_equal_seeds_reproduce_identical_sets(self):
         target = GeoPoint(40.0, -3.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -1102,6 +1103,49 @@ def test_seeded_listings_digest():
     assert any(cls == 100 for out in listings for _, cls in out)  # contacts listed
     lines = "".join(json.dumps(out) + "\n" for out in listings)
     assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN_LISTINGS
+
+
+class TestRegionTable:
+    """conftest's oracle region table, and Service.search against it at
+    every row where the region changes."""
+
+    def test_breakpoints(self, region_table):
+        north = [j for j in region_table.breakpoints if j > 0]
+        south = [j for j in region_table.breakpoints if j < 0]
+        assert len(north) == len(south) == 379
+        assert sorted(-j for j in south) == north
+        first = [round(oracle_node_latlon(0, j)[0], 3) for j in north[:5]]
+        assert first == [17.673, 17.678, 47.642, 47.645, 47.648]
+
+    @pytest.mark.parametrize(
+        "lat, widths",
+        [
+            (5.0, [1, 3, 1]),
+            (23.0, [3, 3, 3]),
+            (50.00542, [1, 3, 5, 3, 1]),  # Winnipeg
+            (71.300602, [3, 5, 7, 9, 9, 9, 7, 5, 3]),  # Utqiagvik
+        ],
+    )
+    def test_row_run_widths(self, region_table, lat, widths):
+        for sign in (1, -1):
+            runs = region_table.runs(oracle_node(sign * lat, 0.0)[1])
+            assert [2 * k + 1 for _, k in runs] == widths[::sign]
+
+    def test_search_lists_500_to_the_last_node_of_each_row_run(self, region_table):
+        # At each breakpoint row and the row before it, toward the equator.
+        rows = {r for j in region_table.breakpoints for r in (j, j - (1 if j > 0 else -1))}
+        clock = itertools.count()
+        wrong = []
+        for j in sorted(rows):
+            registry = TargetRegistry()
+            registry.add("t", GeoPoint(*oracle_node_latlon(0, j)))
+            svc = Service(registry, daily_quota=10**9, speed_limit_mps=math.inf)
+            for dj, k in region_table.runs(j):
+                last = svc.search("a", GeoPoint(*oracle_node_latlon(k, j + dj)), float(next(clock)))
+                east = svc.search("a", GeoPoint(*oracle_node_latlon(k + 1, j + dj)), float(next(clock)))
+                if last != [("t", 500)] or ("t", 500) in east:
+                    wrong.append((j, dj, k, last, east))
+        assert len(rows) > 758 and wrong == []
 
 
 class TestRegistryFile:
