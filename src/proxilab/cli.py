@@ -21,7 +21,7 @@ from . import analysis, prober, wire
 from .geo import GeoPoint, LocalFrameRangeError, ProjectionDomainError
 from .prober import AttackBannedError, InconsistentOracleError, ProbeConfig, TargetNotFoundError, collect_transitions
 from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
-from .service import LocalClient, ProtocolError, Quantizer, RegistryFormatError, Service, TargetRegistry
+from .service import LocalClient, ProtocolError, Quantizer, Service, TargetRegistry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,6 +142,17 @@ def _parse_out_file(text: str) -> str:
     return text
 
 
+def _read_input(reader, path: str, what: str):
+    """reader(path). A file that cannot be read, or whose content the
+    reader rejects, is a CommandError naming `what`."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise CommandError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # RegistryFormatError included
+        raise CommandError(f"bad {what}: {exc}") from exc
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The fields the subcommand has flags for; the others keep their
     ExperimentConfig defaults."""
@@ -152,8 +163,9 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def build_server(args) -> wire.ApiServer:
-    """Registry plus bound endpoint from serve flags; raises on bad config."""
-    registry = TargetRegistry.from_jsonl(args.targets)
+    """Registry plus bound endpoint from serve flags; raises CommandError on
+    a bad registry and OSError on a failed bind."""
+    registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
     if len(registry) == 0:
         print("warning: registry is empty, serving anyway", file=sys.stderr)
     service = _config_from_args(args).service(registry)
@@ -166,9 +178,7 @@ def build_server(args) -> wire.ApiServer:
 def cmd_serve(args) -> int:
     try:
         server = build_server(args)
-    except RegistryFormatError as exc:
-        raise CommandError(f"bad registry {exc}") from exc
-    except OSError as exc:
+    except OSError as exc:  # the bind
         raise CommandError(str(exc)) from exc
     try:
         server.serve_forever()
@@ -194,12 +204,7 @@ def _attack_client(args, config: ExperimentConfig, stack: contextlib.ExitStack):
         except OSError as exc:
             raise CommandError(f"cannot open --endpoint: {exc}") from exc
         return client, args.hint
-    try:
-        registry = TargetRegistry.from_jsonl(args.targets)
-    except RegistryFormatError as exc:
-        raise CommandError(f"bad registry {exc}") from exc
-    except OSError as exc:
-        raise CommandError(f"cannot open --targets: {exc}") from exc
+    registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
     position = _registry_position(registry, args.target)
     hint = position if args.hint is None else args.hint
     return LocalClient(config.service(registry), args.account), hint
@@ -252,16 +257,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        tset, meta = prober.read_transitions(args.transitions)
-    except OSError as exc:
-        raise CommandError(f"cannot read transitions: {exc}") from exc
-    except ValueError as exc:
-        raise CommandError(f"bad transitions file: {exc}") from exc
-    try:
-        registry = TargetRegistry.from_jsonl(args.targets)
-    except (RegistryFormatError, OSError) as exc:
-        raise CommandError(f"cannot read registry: {exc}") from exc
+    tset, meta = _read_input(prober.read_transitions, args.transitions, "transitions file")
+    registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
     anchor = _registry_position(registry, tset.target)
     try:
         report = analysis.build_report(tset, anchor)
@@ -277,10 +274,7 @@ def cmd_analyze(args) -> int:
 def _sweep_locations(args):
     if args.targets is None:
         return analysis.SWEEP_CITIES
-    try:
-        registry = TargetRegistry.from_jsonl(args.targets)
-    except (RegistryFormatError, OSError) as exc:
-        raise CommandError(f"cannot read locations: {exc}") from exc
+    registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
     return tuple((rec.id, rec.pos.lat, rec.pos.lon) for rec in registry.iter_sorted())
 
 
@@ -404,7 +398,7 @@ def _write_figures(args, config: ExperimentConfig) -> None:
         "runs_used": len(rects),
         "edge_x_fit": list(analysis.fit_uniform(d_x)),
         "edge_y_fit": list(analysis.fit_uniform(d_y)),
-        "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho) if rho else None,
+        "p_rho_le_200": sum(1 for r in rho if r <= 200.0) / len(rho),
     }
 
     prober.write_transitions(path("walk_transitions.jsonl"), tset, config=cfg_dict)

@@ -409,10 +409,6 @@ def _read_target(value, known: str | None) -> str:
     return value
 
 
-def _line_error(path: str, line_no: int, reason: str) -> ValueError:
-    return ValueError(f"{path}:{line_no}: {reason}")
-
-
 def read_transitions(path: str) -> tuple[TransitionSet, dict]:
     """Inverse of write_transitions; returns the set and the meta record.
     A malformed line, such as one whose target is not a non-empty string
@@ -452,7 +448,7 @@ def read_transitions(path: str) -> tuple[TransitionSet, dict]:
             raise ValueError(f"queries must be a non-negative int, got {queries!r}")
         transitions.append(Transition(inside, outside, bearing, direction, queries))
 
-    read_jsonl(path, parse, _line_error)
+    read_jsonl(path, parse)
     if target is None:
         raise ValueError(f"{path}: no transition records")
     return (

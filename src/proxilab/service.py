@@ -127,18 +127,24 @@ def decode(line: bytes | str) -> dict:
     return msg
 
 
-def read_jsonl(path: str, parse, error) -> None:
-    """Call `parse(decode(line))` on each stripped, non-blank line of the
-    UTF-8 file at `path`, in order; blank lines are skipped but numbered. A
+def _line_error(path: str, line_no: int, reason: str) -> ValueError:
+    return ValueError(f"{path}:{line_no}: {reason}")
+
+
+def read_jsonl(path: str, parse, error=_line_error) -> None:
+    """Call `parse(decode(line))` on each line of the file at `path`, in
+    order, so a file line decodes as a wire line does. Lines end at LF,
+    CRLF or CR; one of ASCII whitespace alone is skipped but numbered. A
     ValueError from either call, DecodeError included, becomes
     `error(path, line_no, reason)`."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line := line.strip():
-                try:
-                    parse(decode(line))
-                except ValueError as exc:
-                    raise error(path, line_no, str(exc)) from exc
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                parse(decode(line))
+            except ValueError as exc:
+                raise error(path, line_no, str(exc)) from exc
 
 
 def required(rec: dict, key: str):

@@ -16,7 +16,7 @@ import socket
 import socketserver
 import threading
 
-from .geo import GeoPoint, ProjectionDomainError, _point
+from .geo import GeoPoint, _point
 from .service import (
     DecodeError,
     FloodWaitError,
@@ -181,7 +181,7 @@ class _Handler(socketserver.StreamRequestHandler):
             entries = service.search(msg["account"], pos, msg["ts"])
         except QueryRejected as exc:
             return error_response(exc.code, exc.retry_after_s)
-        except (ProtocolError, ProjectionDomainError, ValueError):
+        except (ProtocolError, ValueError):  # ProjectionDomainError included
             return error_response("BAD_REQUEST")
         return result_response(entries)
 

@@ -444,8 +444,8 @@ class TestServe:
         assert len(errors) == 1 and f"argument {flag}:" in errors[0]
 
 
-def _file(path, text: str) -> str:
-    path.write_text(text)
+def _file(path, text: str | bytes) -> str:
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
 
 
@@ -486,6 +486,8 @@ _HUGE_INT = "1" + "0" * 400
 _OVERLONG_INT = "1" + "0" * 5_000
 # Arrays nested past the interpreter's recursion limit.
 _NESTED = "[" * 100_000
+# A registry record holding the byte 0xff, which no UTF-8 text holds.
+_NOT_UTF8 = b'{"id": "alice", "lat": 0.0, "lon": 0.0, "note": "\xff"}\n'
 
 
 # Each case builds argv from (tmp_path, registry_file) and names a fragment
@@ -573,6 +575,28 @@ BAD_INPUTS = [
                           "--targets", reg, "--out", str(tmp / "r.json")],
         "t.jsonl:2: invalid JSON", id="nested-transitions-line",
     ),
+    # A file line is decoded as a wire line is, so a byte that is not UTF-8
+    # is a format error at its line, like malformed JSON.
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", _file(tmp / "latin.jsonl", _NOT_UTF8),
+                          "--target", "alice", "--out", str(tmp / "t.jsonl")],
+        "latin.jsonl:1: not valid UTF-8", id="non-utf8-registry-line-attack",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["serve", "--targets", _file(tmp / "latin.jsonl", _NOT_UTF8), "--bind", "127.0.0.1:0"],
+        "latin.jsonl:1: not valid UTF-8", id="non-utf8-registry-line-serve",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["sweep", "--targets", _file(tmp / "latin.jsonl", _NOT_UTF8),
+                          "--step", "20", "--out", str(tmp / "s.csv")],
+        "latin.jsonl:1: not valid UTF-8", id="non-utf8-registry-line-sweep",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["analyze", "--transitions",
+                          _file(tmp / "t.jsonl", b'{"type": "meta", "target": "alice"}\n{"target": "\xff"}\n'),
+                          "--targets", reg, "--out", str(tmp / "r.json")],
+        "t.jsonl:2: not valid UTF-8", id="non-utf8-transitions-line",
+    ),
     pytest.param(
         lambda tmp, reg: ["analyze", "--transitions",
                           _transitions_file(tmp, json.dumps(_RECORD) + "\n" + json.dumps({**_RECORD, "target": "bob"})),
@@ -595,6 +619,19 @@ BAD_INPUTS = [
         lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD)),
                           "--targets", str(tmp / "nope.jsonl"), "--out", str(tmp / "r.json")],
         "cannot read registry", id="analyze-missing-registry",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["attack", "--targets", str(tmp / "nope.jsonl"), "--target", "alice",
+                          "--out", str(tmp / "t.jsonl")],
+        "cannot read registry", id="attack-missing-registry",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["serve", "--targets", str(tmp / "nope.jsonl"), "--bind", "127.0.0.1:0"],
+        "cannot read registry", id="serve-missing-registry",
+    ),
+    pytest.param(
+        lambda tmp, reg: ["sweep", "--targets", str(tmp / "nope.jsonl"), "--step", "20", "--out", str(tmp / "s.csv")],
+        "cannot read registry", id="sweep-missing-registry",
     ),
     pytest.param(
         lambda tmp, reg: ["analyze", "--transitions", _transitions_file(tmp, json.dumps(_RECORD) + "\n" + json.dumps(_RECORD)),

@@ -8,6 +8,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -1212,6 +1213,55 @@ class TestRegistryFile:
         with pytest.raises(RegistryFormatError) as ei:
             TargetRegistry.from_jsonl(str(path))
         assert ei.value.line_no == 2
+
+
+def _read_jsonl(path, data: bytes) -> list[dict]:
+    path.write_bytes(data)
+    records: list[dict] = []
+    service.read_jsonl(str(path), records.append)
+    return records
+
+
+class TestReadJsonlLines:
+    """The line rule of every JSONL file: lines end as in text mode, a line
+    of ASCII whitespace is skipped but numbered, and each other line is
+    decoded as a wire line is."""
+
+    @pytest.mark.parametrize("data", [
+        b'{"a": 1}\r\n{"a": 2}\r\n',
+        b'{"a": 1}\r{"a": 2}\r',
+        b'{"a": 1}\n{"a": 2}',
+        b'\n \t\n{"a": 1}\n\x0c\n\r\n{"a": 2}\n\n',
+    ], ids=["crlf", "cr-only", "no-final-newline", "blank-lines"])
+    def test_two_records(self, tmp_path, data):
+        assert _read_jsonl(tmp_path / "f.jsonl", data) == [{"a": 1}, {"a": 2}]
+
+    @pytest.mark.parametrize("data, line_no", [
+        (b'{"a": 1}\r\n\r\nnope\r\n', 3),
+        (b'{"a": 1}\r\rnope\r', 3),
+        (b'\n  \n{"a": 1}\nnope', 4),
+    ], ids=["crlf", "cr-only", "after-blank-lines"])
+    def test_error_names_the_line(self, tmp_path, data, line_no):
+        path = tmp_path / "f.jsonl"
+        with pytest.raises(ValueError) as ei:
+            _read_jsonl(path, data)
+        assert type(ei.value) is ValueError
+        assert str(ei.value) == f"{path}:{line_no}: invalid JSON: Expecting value"
+
+    @pytest.mark.parametrize("line, reason", [
+        (b'\xef\xbb\xbf{"a": 1}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (b'{"a": "\xff"}', "not valid UTF-8"),
+        # JSON whitespace is space, tab, LF and CR only, so padding of any
+        # other whitespace fails here as it does on the wire.
+        ('\u00a0{"a": 1}'.encode(), "invalid JSON: Expecting value"),
+        (b'{"a": 1}\x0c', "invalid JSON: Extra data"),
+    ], ids=["bom", "not-utf8", "nbsp-padding", "form-feed-padding"])
+    def test_line_fails_as_on_the_wire(self, tmp_path, line, reason):
+        path = tmp_path / "f.jsonl"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {re.escape(reason)}$"):
+            _read_jsonl(path, b'{"a": 0}\n' + line + b"\n")
+        with pytest.raises(service.DecodeError, match=f"^{re.escape(reason)}$"):
+            service.decode(line + b"\n")
 
 
 class TestLocalClient:

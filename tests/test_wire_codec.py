@@ -3,7 +3,7 @@ writes json.dumps's sorted-key compact line, byte for byte, and `decode`
 returns what json.loads returns, for the two message shapes `encode` has a
 template for, for near misses of those shapes and for arbitrary JSON. The
 two file readers that parse their lines with `decode` raise nothing but
-their own format error on any line."""
+their own format error on any line of text or of bytes."""
 
 from __future__ import annotations
 
@@ -240,6 +240,13 @@ def file_lines(*records):
     )
 
 
+def file_bytes(*records):
+    """Up to three lines, each arbitrary bytes or a file_lines line, joined
+    by LF; the bytes may hold CR or LF too."""
+    line = st.one_of(st.binary(max_size=40), file_lines(*records).map(str.encode))
+    return st.lists(line, min_size=1, max_size=3).map(b"\n".join)
+
+
 class TestFileReadersRaiseOnlyTheirFormatError:
     @settings(max_examples=300, deadline=None)
     @given(file_lines(REGISTRY_RECORD))
@@ -256,6 +263,28 @@ class TestFileReadersRaiseOnlyTheirFormatError:
     def test_one_line_transitions(self, tmp_path_factory, line):
         path = tmp_path_factory.mktemp("transitions") / "t.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
+        try:
+            tset, _ = read_transitions(str(path))
+        except ValueError as exc:
+            assert type(exc) is ValueError and str(exc).startswith(f"{path}:")
+        else:
+            assert type(tset.target) is str and tset.target
+
+    @settings(max_examples=300, deadline=None)
+    @given(file_bytes(REGISTRY_RECORD))
+    def test_registry_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("registry") / "targets.jsonl"
+        path.write_bytes(data)
+        try:
+            TargetRegistry.from_jsonl(str(path))
+        except RegistryFormatError as exc:
+            assert exc.path == str(path) and 1 <= exc.line_no <= len(data.splitlines())
+
+    @settings(max_examples=300, deadline=None)
+    @given(file_bytes(META_RECORD, TRANSITION_RECORD))
+    def test_transitions_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("transitions") / "t.jsonl"
+        path.write_bytes(data)
         try:
             tset, _ = read_transitions(str(path))
         except ValueError as exc:
