@@ -185,21 +185,28 @@ class Quantizer:
             raise ValueError("grid_deg must be finite and positive")
         self.grid_deg = grid_deg
 
-    def snap_point(self, p: GeoPoint) -> GeoPoint:
-        """The grid node p rounds to, as a point: the Mercator y of p's
-        latitude, both axes rounded to node indices (i, j), and node j's y
-        taken back to a latitude. Raises ProjectionDomainError outside the
-        Mercator domain."""
+    def node(self, p: GeoPoint) -> tuple[int, int]:
+        """The indices (i, j) of the grid node p rounds to: p's longitude
+        and the Mercator y of its latitude, each rounded to a multiple of
+        grid_deg. Raises ProjectionDomainError outside the Mercator
+        domain."""
         lat = p.lat
         check_lat(lat)
         g = self.grid_deg
         y = log(tan(math.pi / 4.0 + lat * RADIANS_PER_DEGREE / 2.0)) * DEGREES_PER_RADIAN
-        i = floor(p.lon / g + 0.5)
-        j = floor(y / g + 0.5)
+        return floor(p.lon / g + 0.5), floor(y / g + 0.5)
+
+    def node_point(self, i: int, j: int) -> GeoPoint:
+        """Node (i, j) as a point: row j's y taken back to a latitude."""
+        g = self.grid_deg
         node_lat = (2.0 * atan(exp(j * g * RADIANS_PER_DEGREE)) - math.pi / 2.0) * DEGREES_PER_RADIAN
         # i * g reaches 180.0 just west of the antimeridian; _point's wrap
         # takes it to -180.0, as GeoPoint's would.
         return _point(node_lat, i * g)
+
+    def snap_point(self, p: GeoPoint) -> GeoPoint:
+        """The grid node p rounds to, as a point."""
+        return self.node_point(*self.node(p))
 
     def cell_size(self, lat_deg: float) -> float:
         """Ground extent of one cell in meters, identical in both axes."""
@@ -523,7 +530,14 @@ class Service:
     rule gives. Records are slotted, which keeps their attribute reads
     cheap. A registry of one record, as every attack deployment of the lab
     holds, skips the walk: its listing is that record, classified, or
-    empty.
+    empty. That branch keeps its last answer as one tuple (query node,
+    record, contact flag, class). The class is a function of those three
+    keys alone, since both ends are grid nodes, so a search that repeats
+    them (the same node index pair from `Quantizer.node`, the identical
+    record object, the same flag) reuses the class and builds no node
+    point, unit vector or `_class_of` call; admission runs on every search
+    all the same. A walker's short jumps and bisection steps inside one
+    cell ask that same question on about two thirds of their searches.
 
     One lock, the registry's, guards the account table, admission and the
     walk: a search takes it once, so a threaded server serializes each
@@ -567,6 +581,9 @@ class Service:
         self._stop_at = {c: cutoff + snap_m for c, cutoff in CLASS_CUTOFF_M.items()}
         self._reach_m = self._stop_at[max(DISTANCE_CLASSES_M)]
         self._snapped: dict[str, tuple[TargetRecord, float, float, float]] = {}
+        # The one-record branch's last answer: (query node, record, contact
+        # flag, class), read and replaced whole under the registry's lock.
+        self._last: tuple[tuple[int, int], TargetRecord, bool, int | None] | None = None
 
     # -- account state ----------------------------------------------------
 
@@ -636,10 +653,9 @@ class Service:
     def search(self, account_id: str, pos: GeoPoint, ts: float) -> list[tuple[str, int]]:
         """Nearby listing for one query: [(target id, class meters)], sorted
         ascending by class then id, truncated to max_results."""
-        # Snapping first rejects a polar query before it is admitted.
-        query_pt = self.quantizer.snap_point(pos)
-        qx, qy, qz = _unit_vector(query_pt)
-        class_of = self._class_of
+        # Rounding first rejects a polar query before it is admitted.
+        quantizer = self.quantizer
+        node = quantizer.node(pos)
         registry = self.registry
         targets = registry._targets
         with registry._lock:
@@ -649,8 +665,18 @@ class Service:
                 # The lab's one-target registry: its record is the whole
                 # listing, or there is none, as the loop below would list it.
                 (rec,) = targets.values()
-                cls = class_of(rec, account_id in rec.contact_of, query_pt, qx, qy, qz)
+                contact = account_id in rec.contact_of
+                last = self._last
+                if last is not None and last[1] is rec and last[0] == node and last[2] is contact:
+                    cls = last[3]
+                else:
+                    query_pt = quantizer.node_point(*node)
+                    cls = self._class_of(rec, contact, query_pt, *_unit_vector(query_pt))
+                    self._last = (node, rec, contact, cls)
                 return [] if cls is None else [(rec.id, cls)]
+            query_pt = quantizer.node_point(*node)
+            qx, qy, qz = _unit_vector(query_pt)
+            class_of = self._class_of
             stop_at = self._stop_at
             k = self.max_results
             out: list[tuple[str, int]] = []

@@ -193,6 +193,10 @@ class ApiServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    # socketserver's default listen backlog is 5: a burst of clients that
+    # connect at once overflows it, and each dropped SYN costs a client a
+    # retransmit a second or more later.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, service: Service, host: str = DEFAULT_BIND[0], port: int = DEFAULT_BIND[1]):
         super().__init__((host, port), _Handler)

@@ -4,7 +4,8 @@ The oracle re-derives the snapping, bucketing and local-frame rules from
 scratch (own Mercator formulas, own haversine, brute-force cell enumeration
 sized from the cell, so it holds at every latitude the service accepts) so
 tests never validate the implementation against itself. Only the node
-functions take a grid pitch; the rest use the default one.
+functions and `oracle_class` take a grid pitch; the rest use the default
+one.
 """
 
 from __future__ import annotations
@@ -79,15 +80,18 @@ def oracle_node_latlon(i: int, j: int, grid: float = ORACLE_GRID_DEG) -> tuple[f
     return oracle_inv_y(j * grid), oracle_wrap_lon(i * grid)
 
 
-def oracle_class(finder: GeoPoint, target: GeoPoint) -> int | None:
-    """Class a non-contact finder is shown, per the rounding-then-nearest-
-    bucket rules."""
-    f_lat, f_lon = oracle_node_latlon(*oracle_node(finder.lat, finder.lon))
-    t_lat, t_lon = oracle_node_latlon(*oracle_node(target.lat, target.lon))
+def oracle_class(
+    finder: GeoPoint, target: GeoPoint, contact: bool = False, grid: float = ORACLE_GRID_DEG
+) -> int | None:
+    """Class a finder is shown, per the rounding-then-nearest-bucket rules;
+    only a contact of the target may be shown the 100 m class."""
+    f_lat, f_lon = oracle_node_latlon(*oracle_node(finder.lat, finder.lon, grid), grid)
+    t_lat, t_lon = oracle_node_latlon(*oracle_node(target.lat, target.lon, grid), grid)
     d = oracle_haversine(f_lat, f_lon, t_lat, t_lon)
     if d > PUBLIC_CLASSES[-1] + 500.0:
         return None
-    return min(PUBLIC_CLASSES, key=lambda c: (abs(d - c), c))
+    classes = (100, *PUBLIC_CLASSES) if contact else PUBLIC_CLASSES
+    return min(classes, key=lambda c: (abs(d - c), c))
 
 
 def oracle_region_cells(target: GeoPoint) -> set[tuple[int, int]]:

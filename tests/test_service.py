@@ -88,6 +88,36 @@ class TestQuantizer:
         want_lat, want_lon = oracle_node_latlon(*oracle_node(lat, oracle_wrap_lon(lon), grid), grid)
         assert (got.lat.hex(), got.lon.hex()) == (want_lat.hex(), want_lon.hex())
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lat=st.floats(-85.0, 85.0),
+        lon=st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
+        grid=st.sampled_from((0.005, 0.0125, 0.05, 0.2)),
+    )
+    # Half-cell ties in either axis, and the column whose i * grid is 180,
+    # which node_point wraps to -180, reached from either side.
+    @example(lat=0.0, lon=1.1, grid=0.2)
+    @example(lat=0.0, lon=0.0025, grid=0.005)
+    @example(lat=oracle_inv_y(0.0025), lon=0.0, grid=0.005)
+    @example(lat=oracle_inv_y(-0.0075), lon=-0.0075, grid=0.005)
+    @example(lat=10.0, lon=179.9975, grid=0.005)
+    @example(lat=10.0, lon=179.999, grid=0.005)
+    @example(lat=10.0, lon=180.0, grid=0.005)
+    @example(lat=-10.0, lon=-180.0, grid=0.2)
+    @example(lat=-10.0, lon=-179.9, grid=0.2)
+    def test_node_point_of_the_node_is_the_snap(self, lat, lon, grid):
+        q = Quantizer(grid)
+        p = GeoPoint(lat, lon)
+        i, j = q.node(p)
+        got, snap = q.node_point(i, j), q.snap_point(p)
+        assert (got.lat.hex(), got.lon.hex()) == (snap.lat.hex(), snap.lon.hex())
+        # The indices are the oracle's, up to a whole turn of columns: the
+        # oracle gets the longitude GeoPoint stores.
+        want_i, want_j = oracle_node(lat, oracle_wrap_lon(lon), grid)
+        turn = round(360.0 / grid)
+        assert j == want_j and (i - want_i) % turn == 0
+        assert oracle_node_latlon(i, j, grid) == (got.lat, got.lon)
+
     @pytest.mark.parametrize("grid_deg", [0.0, -0.005, math.nan, math.inf])
     def test_pitch_must_be_finite_and_positive(self, grid_deg):
         with pytest.raises(ValueError, match="grid_deg must be finite and positive"):
@@ -768,8 +798,11 @@ class TestIndexedSearch:
         # search classifies each record through _class_of, with the
         # record's contact flag; the class it gives every record, in the
         # order the walk yields the records, up to where it stops, must be
-        # the one classify gives geo.distance between the snapped points. A registry of one record is not
-        # walked: its record is classified whatever the distance.
+        # the one classify gives geo.distance between the snapped points.
+        # A registry of one record is not walked: its record is classified
+        # whatever the distance, or, when the search repeats the previous
+        # search's query node, record object and contact flag, not at all;
+        # its listing is that class either way.
         rng = random.Random(seed)
         center = GeoPoint(rng.uniform(*lat_band), rng.uniform(*lon_band))
 
@@ -790,6 +823,7 @@ class TestIndexedSearch:
             return cls
 
         classified = 0
+        asked = None  # the previous one-record search's (query node, record, contact flag)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Service, "_class_of", recording_class_of)
             for step in range(6):
@@ -799,16 +833,26 @@ class TestIndexedSearch:
                 calls.clear()
                 out = svc.search(account, pos, float(step))
                 query_pt = q.snap_point(pos)
-                expected = [
-                    (rec.id, contact, classify(distance(query_pt, q.snap_point(rec.pos)), contact))
-                    for rec in (
-                        registry.iter_sorted() if n_targets == 1
-                        else walk_records(registry, query_pt, svc._reach_m)
+                if n_targets == 1:
+                    (rec,) = registry.iter_sorted()
+                    contact = account in rec.contact_of
+                    cls = classify(distance(query_pt, q.snap_point(rec.pos)), contact)
+                    question = (oracle_node(pos.lat, pos.lon, grid_deg), rec, contact)
+                    repeated = (
+                        asked is not None and question[0] == asked[0]
+                        and question[1] is asked[1] and question[2] == asked[2]
                     )
-                    for contact in [account in rec.contact_of]
-                ]
-                # A listing short of max_results walked every record.
-                assert calls == (expected if len(out) < max_results else expected[: len(calls)])
+                    assert calls == [(rec.id, contact, cls)] or (calls == [] and repeated)
+                    assert out == ([] if cls is None else [(rec.id, cls)])
+                    asked = question
+                else:
+                    expected = [
+                        (rec.id, contact, classify(distance(query_pt, q.snap_point(rec.pos)), contact))
+                        for rec in walk_records(registry, query_pt, svc._reach_m)
+                        for contact in [account in rec.contact_of]
+                    ]
+                    # A listing short of max_results walked every record.
+                    assert calls == (expected if len(out) < max_results else expected[: len(calls)])
                 classified += len(calls)
         assert classified > 0
 
@@ -1055,6 +1099,188 @@ class TestOneRecordSearch:
                 svc.search("a", moved, 1.0)
         else:
             svc.search("a", moved, 1.0)
+
+
+def in_node(i: int, j: int, rng: random.Random, grid: float = 0.005) -> GeoPoint:
+    """A point that the oracle rounds to node (i, j), off its centre."""
+    u, v = rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)
+    return GeoPoint(oracle_inv_y((j + v) * grid), oracle_wrap_lon((i + u) * grid))
+
+
+def listing(finder: GeoPoint, target: GeoPoint, contact: bool = False, grid: float = 0.005) -> list[tuple[str, int]]:
+    """The oracle's listing of the lone target "t"."""
+    cls = oracle_class(finder, target, contact, grid)
+    return [] if cls is None else [("t", cls)]
+
+
+class TestLastClass:
+    """A one-record search that asks its predecessor's question (the same
+    query node, record object and contact flag) reuses its class. Every
+    listing is checked against the oracle, and `_class_of` is counted to
+    show which searches reused one."""
+
+    @pytest.fixture()
+    def class_of_calls(self, monkeypatch) -> list:
+        calls = []
+        class_of = Service._class_of
+
+        def counting_class_of(self, rec, *args):
+            calls.append(rec.id)
+            return class_of(self, rec, *args)
+
+        monkeypatch.setattr(Service, "_class_of", counting_class_of)
+        return calls
+
+    @pytest.mark.parametrize("lat", [0.0, 23.0, 50.0, 71.3, -60.0, 84.0])
+    def test_stays_on_a_node_then_crosses_to_the_next(self, lat, class_of_calls):
+        # Three searches on each node of the target's row, east of it, then
+        # on each node of its column, north, out past the 2,000 m class.
+        rng = random.Random(lat)
+        i0, j0 = oracle_node(lat, 0.5)
+        target = in_node(i0, j0, rng)
+        svc = make_service([("t", target)])
+        reach = int(2_600.0 / svc.quantizer.cell_size(lat)) + 1
+        nodes = [(i0 + k, j0) for k in range(reach)] + [(i0, j0 + k) for k in range(reach)]
+        ts, classes = 0.0, set()
+        for node in nodes:
+            for _ in range(3):
+                finder = in_node(*node, rng)
+                assert oracle_node(finder.lat, finder.lon) == node
+                ts += 3_600.0
+                got = svc.search("a", finder, ts)
+                assert got == listing(finder, target), (node, finder)
+                classes.update(cls for _, cls in got)
+        assert {500, 1000, 2000} <= classes
+        assert len(class_of_calls) == len(nodes)
+
+    def test_listing_follows_a_target_moved_within_its_node_and_out(self, class_of_calls):
+        # The finder stays put while the target moves: twice within one
+        # node, then two nodes from the finder, onto the finder's node, and
+        # out of reach. Each move replaces the record, so the first search
+        # after it classifies again.
+        rng = random.Random(7)
+        i0, j0 = oracle_node(23.0, 51.35)
+        svc = make_service([("t", in_node(i0, j0, rng))])
+        finder = in_node(i0 + 1, j0, rng)
+        moves = [(i0, j0), (i0, j0), (i0 + 3, j0), (i0 + 3, j0), (i0 + 1, j0), (i0 - 30, j0)]
+        ts = 0.0
+        for node in moves:
+            target = in_node(*node, rng)
+            svc.registry.move("t", target)
+            for _ in range(2):
+                ts += 3_600.0
+                assert svc.search("a", finder, ts) == listing(finder, target), node
+        assert len(class_of_calls) == len(moves)
+        assert listing(finder, in_node(i0 - 30, j0, rng)) == []
+
+    def test_contact_and_other_account_alternate(self, class_of_calls):
+        # On the target's node a contact is shown 100 m and anyone else
+        # 500 m; the flag is part of the question, so no search reuses.
+        rng = random.Random(3)
+        i0, j0 = oracle_node(40.0, -3.0)
+        target = in_node(i0, j0, rng)
+        svc = make_service([("t", target, ("friend",))])
+        ts, n = 0.0, 0
+        for node in [(i0, j0), (i0, j0), (i0 + 1, j0), (i0 + 2, j0), (i0, j0)]:
+            finder = in_node(*node, rng)
+            for account in ("friend", "other", "friend", "other"):
+                ts += 3_600.0
+                n += 1
+                want = listing(finder, target, contact=account == "friend")
+                assert svc.search(account, finder, ts) == want, (node, account)
+        assert svc.search("friend", finder, ts + 3_600.0) == [("t", 100)]
+        assert len(class_of_calls) == n + 1
+
+    @pytest.mark.parametrize("grid", [0.005, 0.2])
+    def test_across_the_antimeridian_node(self, grid, class_of_calls):
+        # Column `top` is where i * grid reaches 180, which wraps to -180:
+        # points just west of 180 and just east of -180 both round to it.
+        # Queries east through it, alternating its two sides.
+        rng = random.Random(11)
+        top = round(180.0 / grid)
+        j0 = oracle_node(10.0, 0.0, grid)[1]
+        target = in_node(top, j0, rng, grid)
+        svc = make_service([("t", target)], quantizer=Quantizer(grid))
+        ts = 0.0
+        for i in range(top - 3, top + 4):
+            for k in range(4):
+                finder = in_node(i, j0, rng, grid)
+                if i == top:
+                    offset = (-0.3 if k % 2 else 0.3) * grid
+                    finder = GeoPoint(finder.lat, oracle_wrap_lon(180.0 + offset))
+                ts += 3_600.0
+                assert svc.search("a", finder, ts) == listing(finder, target, grid=grid), (i, finder)
+        assert class_of_calls
+
+    def test_a_repeated_question_still_runs_admission(self, class_of_calls):
+        svc = make_service([("t", GeoPoint(23.0, 51.35))], daily_quota=3)
+        i, j = oracle_node(23.0, 51.35)
+        here = GeoPoint(*oracle_node_latlon(i, j))
+        near = destination(here, 90.0, 100.0)
+        assert oracle_node(near.lat, near.lon) == (i, j)
+        assert svc.search("fast", here, 0.0) == [("t", 500)]
+        # 100 m in one second, on the node already asked about.
+        with pytest.raises(SpeedBanError):
+            svc.search("fast", near, 1.0)
+        assert svc.account("fast").ban_code == "SPEED_BAN"
+        for ts in (10.0, 11.0, 12.0):
+            assert svc.search("quota", near, ts) == [("t", 500)]
+        with pytest.raises(FloodWaitError):
+            svc.search("quota", near, 13.0)
+        acct = svc.account("quota")
+        assert (acct.queries_today, acct.total_admitted) == (3, 3)
+        assert class_of_calls == ["t"]
+
+    def test_concurrent_moves_and_searches(self):
+        # Two movers swap the target between nodes A and B while three
+        # searchers, a contact among them, alternate between a finder on
+        # each node, so consecutive searches ask different questions. Every
+        # listing must be the oracle's for A or for B, with the searcher's
+        # own contact flag: a class kept for another question would show.
+        rng = random.Random(5)
+        i0, j0 = oracle_node(23.0, 51.35)
+        a, b = in_node(i0, j0, rng), in_node(i0 + 3, j0, rng)
+        finders = (in_node(i0, j0, rng), in_node(i0 + 3, j0, rng))
+        svc = make_service([("t", a, ("friend",))], speed_limit_mps=math.inf, daily_quota=10**9)
+        allowed = {
+            (account, f): {tuple(listing(finder, where, account == "friend")) for where in (a, b)}
+            for account in ("friend", "other1", "other2")
+            for f, finder in enumerate(finders)
+        }
+        assert allowed[("friend", 0)] != allowed[("other1", 0)]
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(5)
+
+        def mover() -> None:
+            try:
+                barrier.wait(timeout=30.0)
+                for k in range(5_000):
+                    svc.registry.move("t", (a, b)[k % 2])
+            except BaseException as exc:
+                errors.append(exc)
+
+        def searcher(account: str) -> None:
+            try:
+                barrier.wait(timeout=30.0)
+                for k in range(5_000):
+                    out = svc.search(account, finders[k % 2], float(k))
+                    assert tuple(out) in allowed[(account, k % 2)], (account, k, out)
+            except BaseException as exc:
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=mover) for _ in range(2)]
+            threads += [threading.Thread(target=searcher, args=(acct,)) for acct in ("friend", "other1", "other2")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 # Four 15 km city discs: equatorial, 25 deg, 64 deg, and one straddling +-180.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -258,6 +259,35 @@ class TestServer:
         for t in threads:
             t.join()
         assert errors == []
+
+    def test_a_burst_of_100_connects_is_accepted_at_once(self, served):
+        # 100 clients, as many as the acceptance fuzz test starts, connect
+        # at one instant. A listen backlog shorter than the burst drops
+        # SYNs, and the kernel retries a dropped one a second or more later.
+        (host, port), _ = served
+        n = 100
+        barrier = threading.Barrier(n)
+        slow, errors = [], []
+
+        def connect(idx: int) -> None:
+            try:
+                barrier.wait(timeout=30.0)
+                start = time.perf_counter()
+                with TcpClient(host, port, f"burst{idx}") as client:
+                    took = time.perf_counter() - start
+                    if took >= 1.0:
+                        slow.append((idx, took))
+                    assert client.search(GeoPoint(0, 0), 0.0) == [("t", 500)]
+            except Exception as exc:  # noqa: BLE001 - collected for the assert below
+                errors.append((idx, exc))
+
+        threads = [threading.Thread(target=connect, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and slow == []
 
 
     def test_deeply_nested_line_gets_bad_request_not_internal(self, served, caplog):
