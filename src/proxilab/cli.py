@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass
 
 from . import analysis, prober, wire
 from .geo import GeoPoint, LocalFrameRangeError, ProjectionDomainError
-from .prober import AttackBannedError, InconsistentOracleError, ProbeConfig, TargetNotFoundError, collect_transitions
+from .prober import AttackBannedError, DirectionsExhaustedError, InconsistentOracleError, ProbeConfig
+from .prober import TargetNotFoundError, collect_transitions
 from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
 from .service import LocalClient, ProtocolError, Quantizer, Service, TargetRegistry
 
@@ -241,6 +242,8 @@ def cmd_attack(args) -> int:
             raise CommandError(f"query outside the service's domain: {exc}") from exc
         except InconsistentOracleError as exc:  # the walker's polar defect, or a moving target
             raise CommandError(f"walk got an unexpected class: {exc}") from exc
+        except DirectionsExhaustedError as exc:
+            raise CommandError(f"no bearing keeps a {config.jump:g} m jump inside the region: {exc}") from exc
         except (ProtocolError, wire.DecodeError) as exc:  # BAD_REQUEST included
             raise CommandError(f"bad reply from --endpoint: {exc}") from exc
         except OSError as exc:

@@ -64,10 +64,6 @@ class _BudgetExhausted(RuntimeError):
     """The query budget is spent: the attack loop's end, any other caller's error."""
 
 
-class _WalkReset(Exception):
-    pass
-
-
 class Direction(str, Enum):
     OUT = "OUT"  # 500 -> 1000
     IN = "IN"  # 1000 -> 500
@@ -96,7 +92,6 @@ class ProbeConfig:
     accuracy: float = 10.0
     jump: float = 100.0
     max_queries: int = 1000
-    reset_distance: float = 3000.0
 
     def __post_init__(self) -> None:
         # Negated so that NaN fails too; an infinite jump lands nowhere.
@@ -104,9 +99,6 @@ class ProbeConfig:
             raise ValueError("accuracy must be positive")
         if not self.accuracy < self.jump < math.inf:
             raise ValueError("jump must exceed accuracy and be finite")
-        # A distance of 0 is a walk that resets at its first step.
-        if not self.reset_distance >= 0:
-            raise ValueError("reset_distance must be a non-negative distance")
 
 
 @dataclass
@@ -222,25 +214,14 @@ class ProbeSession:
                 return bearing, cand
         raise DirectionsExhaustedError(f"{DIRECTION_RETRIES} bearings rejected from {pos}")
 
-    def probe_outward(self, anchor: GeoPoint, start: GeoPoint, bearing: float) -> tuple[GeoPoint, GeoPoint]:
+    def probe_outward(self, start: GeoPoint, bearing: float) -> tuple[GeoPoint, GeoPoint]:
         """Jump along the bearing until the class flips to 1000; returns the
-        last-inside/first-outside pair. Resets when the walk strays farther
-        than reset_distance from the anchor."""
+        last-inside/first-outside pair."""
         self._step = "probe-outward"
         self._mark = self.queries
-        jump, reset = self.cfg.jump, self.cfg.reset_distance
-        # After k jumps the walk lies at most distance(anchor, start) + k jump
-        # from the anchor (triangle inequality); destination and distance
-        # round by about 1e-7 m per jump, far inside the one-jump margin, so
-        # while the bound stays a jump short of reset_distance the exact
-        # test below could not fire.
-        bound = distance(anchor, start)
         cur = start
         while True:
-            nxt = destination(cur, bearing, jump)
-            bound += jump
-            if bound > reset - jump and distance(anchor, nxt) > reset:
-                raise _WalkReset
+            nxt = destination(cur, bearing, self.cfg.jump)
             cls = self.query_class(nxt)
             if cls == OUTER_CLASS_M:
                 return cur, nxt
@@ -293,12 +274,8 @@ class ProbeSession:
         self._step = "walk-inward"
         self._mark = self.queries
         cur = start_outside
-        walked = 0.0
         while True:
             nxt = destination(cur, bearing, self.cfg.jump)
-            walked += self.cfg.jump
-            if walked > self.cfg.reset_distance:
-                raise _WalkReset
             cls = self.query_class(nxt)
             if cls == INNER_CLASS_M:
                 return self.bisect_boundary(nxt, cur, direction=Direction.IN, bearing=bearing)
@@ -318,7 +295,10 @@ def collect_transitions(
     rng: random.Random | None = None,
 ) -> TransitionSet:
     """Run the full attack loop until the requested transition count is
-    reached or the query budget runs out (partial set, flagged)."""
+    reached or the query budget runs out (partial set, flagged). A walk
+    that cannot go on raises instead: `DirectionsExhaustedError` when no
+    bearing keeps a jump inside the region, `InconsistentOracleError` on a
+    class outside the 500/1000 pair."""
     cfg = cfg or ProbeConfig()
     sess = ProbeSession(client, target, cfg, start_ts=start_ts, rng=rng)
     collected: list[Transition] = []
@@ -326,25 +306,13 @@ def collect_transitions(
     try:
         pos = sess.find_inward_start(hint)
         while len(collected) < n_transitions:
-            try:
-                bearing, cand = sess.choose_direction(pos)
-            except DirectionsExhaustedError:
-                pos = sess.find_inward_start(pos)
-                continue
-            try:
-                inside, outside = sess.probe_outward(pos, cand, bearing)
-                t_out = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
-            except _WalkReset:
-                continue  # pos is still a known inner-class position
+            bearing, cand = sess.choose_direction(pos)
+            inside, outside = sess.probe_outward(cand, bearing)
+            t_out = sess.bisect_boundary(inside, outside, direction=Direction.OUT, bearing=bearing)
             collected.append(t_out)
             if len(collected) >= n_transitions:
                 break
-            back = (bearing + 180.0) % 360.0
-            try:
-                t_in = sess.walk_inward(t_out.outside, back)
-            except _WalkReset:
-                pos = t_out.inside
-                continue
+            t_in = sess.walk_inward(t_out.outside, (bearing + 180.0) % 360.0)
             collected.append(t_in)
             pos = t_in.inside
     except _BudgetExhausted:

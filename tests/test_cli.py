@@ -117,6 +117,21 @@ class TestAttack:
         assert code == EXIT_BUDGET
         assert out.exists()
 
+    def test_jump_wider_than_the_region_exits_with_one_error_line(self, tmp_path, capsys):
+        # No 1200 m jump from the start stays inside the region, so the walk
+        # ends after 32 rejected bearings instead of spending its budget.
+        targets = tmp_path / "t.jsonl"
+        targets.write_text(json.dumps(GOLDEN_ATTACK_TARGET) + "\n")
+        out = tmp_path / "out.jsonl"
+        code = main([
+            "attack", "--targets", str(targets), "--target", "t",
+            "--seed", "0", "--jump", "1200", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: no bearing keeps a 1200 m jump inside the region: ")
+        assert not out.exists()
+
     def test_unknown_target_exit_code(self, tmp_path, registry_file):
         out = tmp_path / "t.jsonl"
         code = main([
@@ -880,12 +895,11 @@ class TestFigures:
         assert multiprocessing.active_children() == []
         assert os.listdir(tmp_path / "figs") == []
 
-    # The equator walk fails at each pitch: at 0.1 deg its crossings are too
-    # few for a box, at 0.05 and 0.0005 deg it sees a class outside the
+    # The equator walk fails at each pitch: it sees a class outside the
     # 500/1000 pair. BAD_INPUTS cannot hold these, since figures creates
     # --out before any deployment.
     @pytest.mark.parametrize("grid_deg, fragment", [
-        ("0.1", "need >= 4 transitions"),
+        ("0.1", "class 11000 while probing outward"),
         ("0.05", "class 6000 while probing outward"),
         ("0.0005", "class 2000 while walking inward"),
     ])

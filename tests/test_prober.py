@@ -20,7 +20,6 @@ from proxilab.prober import (
     ProbeSession,
     TargetNotFoundError,
     Transition,
-    _WalkReset,
     collect_transitions,
     pace,
     read_transitions,
@@ -50,6 +49,26 @@ class FakeRng:
 
     def random(self):
         return 0.25
+
+
+class DiscClient:
+    """Reports the inner class within radius_m of center and the outer class
+    beyond it, at any latitude and across the antimeridian, and counts the
+    searches it answers."""
+
+    def __init__(self, center: GeoPoint, radius_m: float):
+        self.center = center
+        self.radius_m = radius_m
+        self.queries = 0
+
+    def search(self, pos, ts):
+        self.queries += 1
+        inside = distance(self.center, pos) <= self.radius_m
+        return [("t", INNER_CLASS_M if inside else OUTER_CLASS_M)]
+
+
+WALK_LATS = st.one_of(st.floats(-84.9, 84.9), st.sampled_from([-84.9, 0.0, 84.9]))
+WALK_LONS = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0]), st.floats(179.99, 180.0))
 
 
 class TestPace:
@@ -86,12 +105,6 @@ class TestProbeConfig:
         # bisect a straddle; an infinite jump has no destination.
         with pytest.raises(ValueError):
             ProbeConfig(**kwargs)
-
-    @pytest.mark.parametrize("reset_distance", [math.nan, -5e-324, -1.0, -math.inf])
-    def test_reset_distance_must_be_a_distance(self, reset_distance):
-        # A reset test against NaN never fires; a negative one is no distance.
-        with pytest.raises(ValueError, match="reset_distance"):
-            ProbeConfig(reset_distance=reset_distance)
 
 
 class TestFindInwardStart:
@@ -196,7 +209,7 @@ class TestProbeOutward:
         east_face = destination(target, 90.0, 1.5 * 556.6)
         start = destination(east_face, 270.0, 50.0)
         sess = ProbeSession(client, "t")
-        inside, outside = sess.probe_outward(start, start, 90.0)
+        inside, outside = sess.probe_outward(start, 90.0)
         assert sess.queries == 1
         assert oracle_class(inside, target) == 500
         assert oracle_class(outside, target) == 1000
@@ -205,22 +218,38 @@ class TestProbeOutward:
         target = GeoPoint(0, 0)
         client, _ = make_setup(target)
         sess = ProbeSession(client, "t")
-        inside, outside = sess.probe_outward(target, target, 90.0)
+        inside, outside = sess.probe_outward(target, 90.0)
         # boundary sits 1.5 cells east: flip on the 9th 100 m jump
         assert sess.queries == 9
         assert distance(target, outside) == pytest.approx(900.0, rel=1e-3)
 
-    def test_reset_when_walk_exceeds_threshold(self):
-        from proxilab.prober import _WalkReset
-
-        target = GeoPoint(0, 0)
-        client, _ = make_setup(target)
-        cfg = ProbeConfig(reset_distance=300.0)
-        sess = ProbeSession(client, "t", cfg)
-        # bearing nearly parallel to the north face, never leaves the arm
-        with pytest.raises(_WalkReset):
-            sess.probe_outward(target, target, 0.5)
-        assert sess.exploration_queries == sess.queries
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lat=WALK_LATS,
+        lon=WALK_LONS,
+        bearing=st.floats(0.0, 360.0),
+        start_bearing=st.floats(0.0, 360.0),
+        start_frac=st.floats(0.0, 1.0),
+        jump=st.one_of(st.sampled_from([15.0, 100.0, 1000.0]), st.floats(1.0, 2000.0)),
+        radius_jumps=st.floats(0.0, 40.0),
+    )
+    @example(lat=84.9, lon=180.0, bearing=0.0, start_bearing=0.0, start_frac=0.0, jump=100.0, radius_jumps=40.0)
+    @example(lat=0.0, lon=-180.0, bearing=270.0, start_bearing=90.0, start_frac=0.5, jump=100.0, radius_jumps=40.0)
+    def test_stops_at_the_first_jump_outside_a_disc(
+        self, lat, lon, bearing, start_bearing, start_frac, jump, radius_jumps
+    ):
+        center = GeoPoint(lat, lon)
+        client = DiscClient(center, radius_jumps * jump)
+        start = destination(center, start_bearing, start_frac * radius_jumps * jump)
+        # The chain of jumps from the start, up to the first one the disc's
+        # own rule puts outside it.
+        points = [start, destination(start, bearing, jump)]
+        while distance(center, points[-1]) <= client.radius_m:
+            points.append(destination(points[-1], bearing, jump))
+        sess = ProbeSession(client, "t", ProbeConfig(jump=jump, accuracy=jump / 10.0))
+        expected = [(p.lat.hex(), p.lon.hex()) for p in points[-2:]], len(points) - 1
+        assert outcome(sess, sess.probe_outward, start, bearing) == expected
+        assert client.queries == len(points) - 1
 
 
 class TestBisect:
@@ -297,16 +326,27 @@ class TestCollect:
         assert not tset.budget_exhausted
         assert [t.direction for t in tset.transitions] == [Direction.OUT, Direction.IN] * 2 + [Direction.OUT]
 
-    def test_restarts_from_its_position_after_32_rejected_bearings(self):
+    def test_ends_after_32_rejected_bearings(self):
         # From 1 m inside the disc's east edge every eastward jump leaves the
-        # disc: after 32 of them the walk re-confirms its position (one
-        # query) and draws again.
+        # disc: the walk ends after the hint's query and 32 bearings.
         center = GeoPoint(23.0, 51.35)
         hint = destination(center, 90.0, 499.0)
-        rng = FakeRng([90.0] * 32 + [270.0])
-        tset = collect_transitions(DiscClient(center, 500.0), "t", hint=hint, n_transitions=1, rng=rng)
-        assert [t.bearing for t in tset.transitions] == [270.0]
-        assert (tset.exploration_queries, tset.total_queries) == (35, 48)
+        client = DiscClient(center, 500.0)
+        with pytest.raises(DirectionsExhaustedError):
+            collect_transitions(client, "t", hint=hint, n_transitions=1, rng=FakeRng([90.0] * 32 + [270.0]))
+        assert client.queries == 33
+
+    def test_walk_longer_than_3_km_finds_the_edge(self):
+        # The outward walk from the center of a 5 km disc runs about 5 km
+        # before the class flips.
+        center = GeoPoint(23.0, 51.35)
+        tset = collect_transitions(DiscClient(center, 5000.0), "t", hint=center, n_transitions=2,
+                                   rng=random.Random(0))
+        assert not tset.budget_exhausted
+        assert [t.direction for t in tset.transitions] == [Direction.OUT, Direction.IN]
+        for t in tset.transitions:
+            assert distance(t.inside, t.outside) <= 10.0
+            assert distance(center, t.inside) <= 5000.0 < distance(center, t.outside)
 
     def test_equal_seeds_reproduce_identical_sets(self):
         target = GeoPoint(40.0, -3.0)
@@ -322,13 +362,11 @@ class TestCollect:
             assert sum(t.queries_spent for t in tset.transitions) + tset.exploration_queries == tset.total_queries
             assert service.account("finder").total_admitted == tset.total_queries
 
-    # Budgets of 1 to 80 queries run out in every phase; a 300 m reset
-    # distance resets every walk, 700 m resets some walks between transitions.
+    # Budgets of 1 to 80 queries run out in every phase.
     @pytest.mark.parametrize(
         "cfg",
-        [ProbeConfig(max_queries=n) for n in range(1, 81)]
-        + [ProbeConfig(reset_distance=300.0), ProbeConfig(reset_distance=700.0)],
-        ids=[f"max_queries={n}" for n in range(1, 81)] + ["reset_distance=300", "reset_distance=700"],
+        [ProbeConfig(max_queries=n) for n in range(1, 81)],
+        ids=[f"max_queries={n}" for n in range(1, 81)],
     )
     def test_query_accounting_under_budget_cuts_and_resets(self, cfg):
         target = GeoPoint(40.0, -3.0)
@@ -454,19 +492,6 @@ class TestGoldenDigests:
         assert h.hexdigest() == GOLDEN_SNAP
 
 
-class DiscClient:
-    """Reports the inner class within radius_m of center and the outer class
-    beyond it, at any latitude and across the antimeridian."""
-
-    def __init__(self, center: GeoPoint, radius_m: float):
-        self.center = center
-        self.radius_m = radius_m
-
-    def search(self, pos, ts):
-        inside = distance(self.center, pos) <= self.radius_m
-        return [("t", INNER_CLASS_M if inside else OUTER_CLASS_M)]
-
-
 def exact_bisect(sess: ProbeSession, inside: GeoPoint, outside: GeoPoint):
     """bisect_boundary's loop with the exact straddle tested before every
     step."""
@@ -479,40 +504,19 @@ def exact_bisect(sess: ProbeSession, inside: GeoPoint, outside: GeoPoint):
     return inside, outside
 
 
-def exact_probe_outward(sess: ProbeSession, anchor: GeoPoint, start: GeoPoint, bearing: float):
-    """probe_outward's loop with the exact distance from the anchor tested
-    before every jump."""
-    cur = start
-    while True:
-        nxt = destination(cur, bearing, sess.cfg.jump)
-        if distance(anchor, nxt) > sess.cfg.reset_distance:
-            raise _WalkReset
-        if sess.query_class(nxt) == OUTER_CLASS_M:
-            return cur, nxt
-        cur = nxt
-
-
 def outcome(sess: ProbeSession, walk, *args):
-    """The pair a walk returns, bit for bit, or "reset", with the queries
-    it spent."""
-    try:
-        pair = walk(*args)
-    except _WalkReset:
-        return "reset", sess.queries
+    """The pair a walk returns, bit for bit, with the queries it spent."""
+    pair = walk(*args)
     if isinstance(pair, Transition):
         assert pair.queries_spent == sess.queries
         pair = pair.inside, pair.outside
     return [(p.lat.hex(), p.lon.hex()) for p in pair], sess.queries
 
 
-WALK_LATS = st.one_of(st.floats(-84.9, 84.9), st.sampled_from([-84.9, 0.0, 84.9]))
-WALK_LONS = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0]), st.floats(179.99, 180.0))
-
-
 class TestBoundFirstChecks:
-    """The walker skips the haversine of a check that a bound already
-    decides; its queries, pairs and resets must equal those of the loops
-    that compute every exact distance."""
+    """Bisection skips the haversine of a check that a bound already
+    decides; its queries and pairs must equal those of the loop that
+    computes every exact straddle."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -533,56 +537,3 @@ class TestBoundFirstChecks:
         cfg = ProbeConfig(accuracy=accuracy, jump=2.0 * accuracy)
         sess, ref = ProbeSession(client, "t", cfg), ProbeSession(client, "t", cfg)
         assert outcome(sess, sess.bisect_boundary, inside, outside) == outcome(ref, exact_bisect, ref, inside, outside)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        lat=WALK_LATS,
-        lon=WALK_LONS,
-        bearing=st.floats(0.0, 360.0),
-        start_bearing=st.floats(0.0, 360.0),
-        jump=st.one_of(st.sampled_from([15.0, 20.0, 100.0, 300.0, 1000.0]), st.floats(1.0, 2000.0)),
-        start_jumps=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0)),
-        reset_jumps=st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0)),
-        radius_jumps=st.floats(0.0, 40.0),
-    )
-    @example(lat=84.9, lon=180.0, bearing=0.0, start_bearing=0.0, jump=100.0,
-             start_jumps=1.0, reset_jumps=4.0, radius_jumps=40.0)
-    @example(lat=0.0, lon=-180.0, bearing=270.0, start_bearing=90.0, jump=100.0,
-             start_jumps=1.0, reset_jumps=4.0, radius_jumps=40.0)
-    def test_probe_outward_matches_exact_loop(
-        self, lat, lon, bearing, start_bearing, jump, start_jumps, reset_jumps, radius_jumps
-    ):
-        anchor = GeoPoint(lat, lon)
-        start = destination(anchor, start_bearing, start_jumps * jump)
-        client = DiscClient(anchor, radius_jumps * jump)
-        cfg = ProbeConfig(jump=jump, accuracy=jump / 10.0, reset_distance=reset_jumps * jump)
-        sess, ref = ProbeSession(client, "t", cfg), ProbeSession(client, "t", cfg)
-        assert (outcome(sess, sess.probe_outward, anchor, start, bearing)
-                == outcome(ref, exact_probe_outward, ref, anchor, start, bearing))
-
-    # (reset_distance, lat, lon, seed): outward walks that reset, and the
-    # sha256 of the transitions file, pinned before the bounds went in.
-    RESET_WALKS = {
-        (400.0, 23.0, 51.35, 0): (256, "07d4b381fafc708de263de6d9e8c96440a74b0e6ccff0ea238a6e54b0387f4d1"),
-        (900.0, 60.0, 179.999, 2): (18, "6d3e365cab506b82771600196784bd822f6e483e0aa88e3b44387a2d80abbea3"),
-    }
-
-    @pytest.mark.parametrize("reset, lat, lon, seed", list(RESET_WALKS))
-    def test_walk_with_resets_digest(self, tmp_path, monkeypatch, reset, lat, lon, seed):
-        resets = []
-        probe_outward = ProbeSession.probe_outward
-
-        def counted(self, *args):
-            try:
-                return probe_outward(self, *args)
-            except _WalkReset:
-                resets.append(args)
-                raise
-
-        monkeypatch.setattr(ProbeSession, "probe_outward", counted)
-        client, _ = make_setup(GeoPoint(lat, lon))
-        tset = collect_transitions(client, "t", GeoPoint(lat, lon), ProbeConfig(reset_distance=reset),
-                                   rng=random.Random(seed))
-        path = tmp_path / "transitions.jsonl"
-        write_transitions(str(path), tset, config={"seed": seed})
-        assert (len(resets), hashlib.sha256(path.read_bytes()).hexdigest()) == self.RESET_WALKS[reset, lat, lon, seed]
