@@ -24,6 +24,7 @@ from enum import Enum
 
 from .geo import GeoPoint, ProjectionDomainError, destination, to_local
 from .prober import (
+    DEFAULT_STEP_M,
     INNER_CLASS_M,
     OUTER_CLASS_M,
     InconsistentOracleError,
@@ -41,7 +42,6 @@ from .service import (
     dumps,
 )
 
-DEFAULT_STEP_M = 10.0  # target displacement per tile-size deployment
 TILE_SHIFTS = 4  # boundary shifts the tile-size scan waits for
 TILE_SCAN_SPAN_M = 4000.0  # farthest deployment of the tile-size scan
 LAB_ACCURACY_M = 1.0  # the lab's boundary bisection: it placed the target, unlike an attacker

@@ -17,12 +17,14 @@ import random
 import sys
 from dataclasses import asdict, dataclass
 
-from . import analysis, prober, wire
+# analysis and wire, with csv, socket and logging behind them, are imported
+# by the commands that run them: every run pays for importing this module.
+from . import prober
 from .geo import GeoPoint, LocalFrameRangeError, ProjectionDomainError
 from .prober import AttackBannedError, DirectionsExhaustedError, InconsistentOracleError, ProbeConfig
 from .prober import TargetNotFoundError, collect_transitions
 from .service import DEFAULT_DAILY_QUOTA, DEFAULT_GRID_DEG, DEFAULT_SPEED_LIMIT_MPS
-from .service import LocalClient, ProtocolError, Quantizer, Service, TargetRegistry
+from .service import DecodeError, LocalClient, ProtocolError, Quantizer, Service, TargetRegistry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,8 +38,6 @@ SEED_ENV_VAR = "PROXILAB_SEED"
 MIN_STEP_M = 1e-6
 # The most rungs past its base that figures' plot ladder deploys.
 PLOT_LADDER_RUNGS = 250
-# Each pooled run gives two edge samples per axis to the uniform fits.
-MIN_FIGURE_RUNS = analysis.UNIFORM_FIT_MIN_SAMPLES // 2
 
 
 class CommandError(Exception):
@@ -61,7 +61,7 @@ class ExperimentConfig:
     jump: float = ProbeConfig.jump
     max_queries: int = ProbeConfig.max_queries
     transitions: int = prober.DEFAULT_TRANSITIONS
-    step: float = analysis.DEFAULT_STEP_M
+    step: float = prober.DEFAULT_STEP_M
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,7 +116,10 @@ def _parse_count(text: str, minimum: int = 1) -> int:
 
 
 def _parse_runs(text: str) -> int:
-    return _parse_count(text, MIN_FIGURE_RUNS)
+    from . import analysis
+
+    # Each pooled run gives two edge samples per axis to the uniform fits.
+    return _parse_count(text, analysis.UNIFORM_FIT_MIN_SAMPLES // 2)
 
 
 def _parse_positive(text: str, minimum: float = 0.0) -> float:
@@ -166,13 +169,17 @@ def _config_from_args(args) -> ExperimentConfig:
 def build_server(args) -> wire.ApiServer:
     """Registry plus bound endpoint from serve flags; raises CommandError on
     a bad registry and OSError on a failed bind."""
+    from . import wire
+
     registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
     if len(registry) == 0:
         print("warning: registry is empty, serving anyway", file=sys.stderr)
     service = _config_from_args(args).service(registry)
-    host, port = args.bind
-    server = wire.ApiServer(service, host, port)
-    print(f"serving {len(registry)} target(s) on {server.address[0]}:{server.address[1]}")
+    # Without --bind, ApiServer's own default address.
+    server = wire.ApiServer(service, *(args.bind or ()))
+    # The only report of an ephemeral port: it must not sit in a pipe's
+    # buffer while the server runs.
+    print(f"serving {len(registry)} target(s) on {server.address[0]}:{server.address[1]}", flush=True)
     return server
 
 
@@ -200,6 +207,8 @@ def _attack_client(args, config: ExperimentConfig, stack: contextlib.ExitStack):
     """Either a TCP client for --endpoint, closed with `stack`, or an
     in-process service from --targets. Returns (client, hint)."""
     if args.endpoint is not None:
+        from . import wire
+
         try:
             client = stack.enter_context(wire.TcpClient(*args.endpoint, args.account))
         except OSError as exc:
@@ -244,7 +253,7 @@ def cmd_attack(args) -> int:
             raise CommandError(f"walk got an unexpected class: {exc}") from exc
         except DirectionsExhaustedError as exc:
             raise CommandError(f"no bearing keeps a {config.jump:g} m jump inside the region: {exc}") from exc
-        except (ProtocolError, wire.DecodeError) as exc:  # BAD_REQUEST included
+        except (ProtocolError, DecodeError) as exc:  # BAD_REQUEST included
             raise CommandError(f"bad reply from --endpoint: {exc}") from exc
         except OSError as exc:
             raise CommandError(f"connection to --endpoint failed: {exc}") from exc
@@ -260,6 +269,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     tset, meta = _read_input(prober.read_transitions, args.transitions, "transitions file")
     registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
     anchor = _registry_position(registry, tset.target)
@@ -275,6 +286,8 @@ def cmd_analyze(args) -> int:
 
 
 def _sweep_locations(args):
+    from . import analysis
+
     if args.targets is None:
         return analysis.SWEEP_CITIES
     registry = _read_input(TargetRegistry.from_jsonl, args.targets, "registry")
@@ -288,6 +301,8 @@ def _warn_failed_rows(rows: list[analysis.SweepRow]) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis
+
     config = _config_from_args(args)
     rows = analysis.latitude_sweep(
         _sweep_locations(args),
@@ -302,6 +317,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from . import analysis
+
     config = _config_from_args(args)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -317,6 +334,8 @@ def cmd_figures(args) -> int:
 
 def _write_figures(args, config: ExperimentConfig) -> None:
     """Build every dataset, then write them: a failure leaves --out empty."""
+    from . import analysis
+
     cfg_dict = config.to_dict()
     seed = config.seed
 
@@ -452,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The server has no randomness, so it takes no --seed.
     p_serve = sub.add_parser("serve", help="run the simulated service over TCP")
     add_config(p_serve, "grid_deg", grid_help)
-    p_serve.add_argument("--bind", type=_parse_bind, default=wire.DEFAULT_BIND, help="host:port to listen on")
+    p_serve.add_argument("--bind", type=_parse_bind, default=None, help="host:port to listen on")
     p_serve.add_argument("--targets", required=True, help="registry JSONL file")
     add_config(p_serve, "quota", "daily query quota per account")
     add_config(p_serve, "speed_limit", "implied speed ban threshold, m/s")

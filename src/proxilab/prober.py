@@ -27,6 +27,7 @@ START_PROBE_BUDGET = 48
 START_PROBE_RADIUS_M = 1_000.0
 DIRECTION_RETRIES = 32
 DEFAULT_TRANSITIONS = 30
+DEFAULT_STEP_M = 10.0  # target displacement per tile-size deployment
 
 
 class TargetNotFoundError(RuntimeError):

@@ -7,19 +7,22 @@ import contextlib
 import csv
 import functools
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
 import random
+import select
 import signal
 import socket
 import subprocess
 import sys
 import threading
+import types
 
 import pytest
 
-from proxilab import analysis
+from proxilab import analysis, wire
 from proxilab.analysis import DEFAULT_STEP_M, SWEEP_CITIES
 from proxilab.cli import (
     EXIT_BANNED,
@@ -341,12 +344,15 @@ class TestAnalyze:
 @contextlib.contextmanager
 def _serve_process(registry_file: str, bind: str):
     """`proxilab serve` as a child process, killed on leaving the block if it
-    still runs. Its output is unbuffered, so the "serving ..." line can be
-    read while it runs, and it gets SIGINT as a KeyboardInterrupt even where
-    the test run's own SIGINT is ignored."""
+    still runs. Its stdout is a pipe and PYTHONUNBUFFERED is unset, as under
+    a supervisor, so the "serving ..." line can be read while it runs only
+    because serve flushes it. The child gets SIGINT as a KeyboardInterrupt
+    even where the test run's own SIGINT is ignored."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     with subprocess.Popen(
         [sys.executable, "-m", "proxilab.cli", "serve", "--targets", registry_file, "--bind", bind],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     ) as proc:
         try:
@@ -355,10 +361,18 @@ def _serve_process(registry_file: str, bind: str):
             proc.kill()  # sends nothing once the process has exited
 
 
+def _first_line(proc, timeout: float = 10.0) -> str:
+    """The child's first stdout line, waited for at most `timeout` seconds,
+    so that a line left in the child's buffer fails the test, not hangs it."""
+    ready, _, _ = select.select([proc.stdout], [], [], timeout)
+    assert ready, f"no stdout line within {timeout:g} s"
+    return proc.stdout.readline()
+
+
 class TestServe:
     def test_process_answers_then_exits_0_on_sigint_and_frees_its_port(self, registry_file):
         with _serve_process(registry_file, "127.0.0.1:0") as proc:
-            line = proc.stdout.readline()
+            line = _first_line(proc)
             assert line.startswith("serving 1 target(s) on 127.0.0.1:")
             port = int(line.rstrip("\n").rpartition(":")[2])
             # An answer means the serve loop runs, so SIGINT reaches it there.
@@ -422,6 +436,22 @@ class TestServe:
         server = build_server(args)
         server.stop()
         assert "serving 10 target(s)" in capsys.readouterr().out
+
+    def test_without_bind_listens_on_the_wire_default(self, registry_file, monkeypatch, capsys):
+        # ApiServer is replaced by a recorder, so nothing binds the port.
+        calls = []
+
+        def record(*args, **kwargs):
+            bound = inspect.signature(ApiServer).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments["host"], bound.arguments["port"]))
+            return types.SimpleNamespace(address=calls[-1])
+
+        monkeypatch.setattr(wire, "ApiServer", record)
+        build_server(build_parser().parse_args(["serve", "--targets", registry_file]))
+        assert calls == [wire.DEFAULT_BIND]
+        host, port = wire.DEFAULT_BIND
+        assert capsys.readouterr().out == f"serving 1 target(s) on {host}:{port}\n"
 
     def test_seed_is_a_usage_error(self, registry_file, capsys):
         # The server has no randomness, so a seed could only be silently ignored.
@@ -1013,6 +1043,9 @@ class TestFlagsReachConsumers:
             "transitions": 6,
             "step": DEFAULT_STEP_M,
         }
+
+    def test_step_default_is_the_analysis_default(self):
+        assert ExperimentConfig().step is analysis.DEFAULT_STEP_M
 
     def test_serve_quota_reaches_the_service(self, registry_file):
         args = build_parser().parse_args(
